@@ -79,31 +79,37 @@ def _parse_header(path, line: str, expected_layout: str) -> dict:
     return fields
 
 
-def write_matrix(path, data: np.ndarray) -> None:
+# header keys of each table layout: (row count, column count)
+_TABLE_DIMS = {"class-rows": ("k", "n"), "sample-rows": ("n", "d")}
+
+
+def write_table(path, data: np.ndarray, layout: str) -> None:
+    """Write a 2-D float table, one row per line: K x N class rows or N x D sample rows."""
     data = np.asarray(data, dtype=np.float64)
-    k, n = data.shape
-    lines = [f"# k={k} n={n} layout=class-rows"]
-    for row in data:
-        lines.append(",".join(_fmt(v) for v in row))
+    rows_key, cols_key = _TABLE_DIMS[layout]
+    lines = [f"# {rows_key}={data.shape[0]} {cols_key}={data.shape[1]} layout={layout}"]
+    lines.extend(",".join(map(repr, row)) for row in data.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_matrix(path) -> np.ndarray:
+def read_table(path, layout: str) -> np.ndarray:
+    """Read a table written by `write_table`, checking its layout and dimensions."""
     text = Path(path).read_text().splitlines()
     if not text:
         raise ParseError(path, 1, "empty file")
-    fields = _parse_header(path, text[0], "class-rows")
+    fields = _parse_header(path, text[0], layout)
+    rows_key, cols_key = _TABLE_DIMS[layout]
     try:
-        k, n = int(fields["k"]), int(fields["n"])
+        n_rows, n_cols = int(fields[rows_key]), int(fields[cols_key])
     except (KeyError, ValueError) as exc:
-        raise ParseError(path, 1, f"bad k/n in header: {exc}") from exc
-    if len(text) - 1 != k:
-        raise ParseError(path, len(text), f"expected {k} rows, found {len(text) - 1}")
+        raise ParseError(path, 1, f"bad {rows_key}/{cols_key} in header: {exc}") from exc
+    if len(text) - 1 != n_rows:
+        raise ParseError(path, len(text), f"expected {n_rows} rows, found {len(text) - 1}")
     rows = []
     for i, line in enumerate(text[1:], start=2):
         parts = line.split(",")
-        if len(parts) != n:
-            raise ParseError(path, i, f"expected {n} columns, found {len(parts)}")
+        if len(parts) != n_cols:
+            raise ParseError(path, i, f"expected {n_cols} columns, found {len(parts)}")
         try:
             rows.append([float(v) for v in parts])
         except ValueError as exc:
@@ -160,38 +166,6 @@ def read_labels(path) -> np.ndarray:
     return values
 
 
-def write_features(path, features: np.ndarray) -> None:
-    features = np.asarray(features, dtype=np.float64)
-    n, d = features.shape
-    lines = [f"# n={n} d={d} layout=sample-rows"]
-    for row in features:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_features(path) -> np.ndarray:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ParseError(path, 1, "empty file")
-    fields = _parse_header(path, text[0], "sample-rows")
-    try:
-        n, d = int(fields["n"]), int(fields["d"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(path, 1, f"bad n/d in header: {exc}") from exc
-    if len(text) - 1 != n:
-        raise ParseError(path, len(text), f"expected {n} rows, found {len(text) - 1}")
-    rows = []
-    for i, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != d:
-            raise ParseError(path, i, f"expected {d} columns, found {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ParseError(path, i, str(exc)) from exc
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -219,7 +193,7 @@ def cmd_solve(args) -> int:
     for required in (args.input, args.prior):
         if not Path(required).exists():
             raise UsageError(f"input file {required} does not exist")
-    matrix = read_matrix(args.input)
+    matrix = read_table(args.input, "class-rows")
     prior = read_prior(args.prior)
     p = ProbMatrix(matrix)
     if p.k != prior.k:
@@ -242,7 +216,7 @@ def cmd_solve(args) -> int:
     else:
         assignment = solve_unconditional(p, prior, cfg)
 
-    write_matrix(args.out, assignment.q.data)
+    write_table(args.out, assignment.q.data, "class-rows")
     _write_json(
         args.report,
         {
@@ -467,7 +441,7 @@ def cmd_gen_data(args) -> int:
     dataset = harness.generate_dataset(cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_features(outdir / "features.csv", dataset.features)
+    write_table(outdir / "features.csv", dataset.features, "sample-rows")
     write_labels(outdir / "labels.csv", dataset.labels)
     write_labels(outdir / "labeled.csv", dataset.labeled.labels)
     _write_json(

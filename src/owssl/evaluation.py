@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ClassPrior, OwsslError, PartitionSpec, Rng, ShapeMismatch
 
@@ -42,6 +41,9 @@ def hungarian(cost) -> tuple[np.ndarray, float]:
         raise NonSquare(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise NonFinite("cost matrix contains non-finite entries")
+    # imported here: scipy.optimize takes longer to import than most commands run
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(mat)
     sigma = np.empty(mat.shape[0], dtype=np.int64)
     sigma[rows] = cols

@@ -9,7 +9,6 @@ self-label solver, and per-epoch bias/accuracy logging.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -236,32 +235,45 @@ class ToyModel:
 
 
 class LogitQueue:
-    """FIFO buffer of recent prediction columns with labeled/unlabeled tags."""
+    """FIFO buffer of recent prediction columns with labeled/unlabeled tags.
+
+    The columns live in a K x capacity ring allocated at the first push;
+    column number `_pushed` (counting from 0) goes to slot `_pushed % capacity`.
+    """
 
     def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._cols: deque[np.ndarray] = deque(maxlen=capacity)
-        self._tags: deque[int] = deque(maxlen=capacity)
+        self._cols: np.ndarray | None = None
+        self._tags = np.empty(capacity, dtype=np.int64)
+        self._pushed = 0
 
     def __len__(self) -> int:
-        return len(self._cols)
+        return min(self._pushed, self.capacity)
 
     def push(self, probs: np.ndarray, tags: np.ndarray) -> None:
         probs = np.asarray(probs, dtype=np.float64)
         tags = np.asarray(tags, dtype=np.int64)
         if probs.ndim != 2 or probs.shape[1] != tags.size:
             raise ShapeMismatch("probs must be K x B with one tag per column")
-        for j in range(tags.size):
-            self._cols.append(probs[:, j].copy())
-            self._tags.append(int(tags[j]))
+        if self._cols is None:
+            self._cols = np.empty((probs.shape[0], self.capacity))
+        elif probs.shape[0] != self._cols.shape[0]:
+            raise ShapeMismatch(f"queue holds {self._cols.shape[0]} classes, got {probs.shape[0]}")
+        b = min(tags.size, self.capacity)  # a batch past capacity keeps its newest columns
+        slots = (self._pushed + np.arange(b)) % self.capacity
+        self._cols[:, slots] = probs[:, tags.size - b :]
+        self._tags[slots] = tags[tags.size - b :]
+        self._pushed += b
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored columns in insertion order plus their tags (-1 = unlabeled)."""
-        if not self._cols:
+        """Copies of the stored columns in insertion order plus their tags (-1 = unlabeled)."""
+        size = len(self)
+        if not size:
             raise ValueError("queue is empty")
-        return np.column_stack(list(self._cols)), np.asarray(self._tags, dtype=np.int64)
+        slots = (self._pushed - size + np.arange(size)) % self.capacity
+        return np.take(self._cols, slots, axis=1), self._tags[slots]
 
 
 @dataclass(frozen=True)
@@ -401,19 +413,18 @@ def self_label_bias(
 
 
 def _solve_queue(
-    queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, conditional: bool
+    queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, conditional: bool, n_batch: int
 ) -> np.ndarray:
-    """Self-labels for the queue contents, returned in insertion order."""
+    """Self-labels for the newest `n_batch` queue columns, in insertion order."""
     p_q, tags_q = queue.matrix()
     if not conditional:
-        return solve_unconditional(ProbMatrix(p_q), prior, cfg).q.data
+        return solve_unconditional(ProbMatrix(p_q), prior, cfg).q.data[:, -n_batch:]
     order = np.argsort(tags_q < 0, kind="stable")  # labeled first, order preserved
     n_lab = int((tags_q >= 0).sum())
     block = LabeledBlock(tags_q[order[:n_lab]])
-    assignment = solve_conditional(ProbMatrix(p_q[:, order]), prior, block, cfg)
-    q = np.empty_like(assignment.q.data)
-    q[:, order] = assignment.q.data
-    return q
+    assignment = solve_conditional(ProbMatrix(np.take(p_q, order, axis=1)), prior, block, cfg)
+    newest = np.argsort(order)[-n_batch:]  # where the batch's columns went
+    return np.take(assignment.q.data, newest, axis=1)
 
 
 def train(dataset: SyntheticDataset, hyper: HyperParams,
@@ -503,8 +514,9 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
                     queue.push(probs_w, tags)
                 else:
                     queue.push(probs_w[:, cov], tags[cov])
-                q_all = _solve_queue(queue, prior, hyper.sinkhorn, hyper.conditional)
-                q_batch = q_all[:, -cov.size :]
+                q_batch = _solve_queue(
+                    queue, prior, hyper.sinkhorn, hyper.conditional, cov.size
+                )
                 denom = (hyper.local_views + 1) * cov.size
                 cls_total = float(_colwise_cross_entropy(q_batch, probs_w[:, cov]).sum())
                 grad_w[:, cov] += w_cls * (probs_w[:, cov] - q_batch) / denom

@@ -131,12 +131,17 @@ def residual_was_clamped(prior: ClassPrior, labeled_counts, n_total: int) -> boo
     return bool(np.any(n_total * prior.probs - counts < 0))
 
 
-def _lse(arr: np.ndarray, axis: int) -> np.ndarray:
-    # log-sum-exp that tolerates -inf entries (zero mass)
-    peak = np.max(arr, axis=axis, keepdims=True)
+def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
+    # log-sum-exp of log_kernel + shift that tolerates -inf entries (zero
+    # mass); the sum, its shifted copy and their exponentials are written
+    # into `work` in turn, so an iteration allocates no K x N temporaries
+    np.add(log_kernel, shift, out=work)
+    peak = np.max(work, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(peak), peak, 0.0)
+    np.subtract(work, safe, out=work)
+    np.exp(work, out=work)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(arr - safe), axis=axis)) + np.squeeze(safe, axis=axis)
+        out = np.log(np.sum(work, axis=axis)) + np.squeeze(safe, axis=axis)
     return out
 
 
@@ -157,20 +162,22 @@ def _entropic_plan(
         log_rows = np.log(row_targets)
     f = np.zeros(k)
     g = np.zeros(n)
+    work = np.empty_like(log_kernel)  # same layout, so the sums add in the same order
     iters = 0
     while iters < cfg.max_iters:
-        row_lse = _lse(log_kernel + g[None, :], axis=1)
+        row_lse = _lse(log_kernel, g[None, :], 1, work)
         if iters > 0 and cfg.tol > 0:
             row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
             if row_err <= cfg.tol:
                 break
         f = log_rows - row_lse
-        g = -_lse(log_kernel + f[:, None], axis=0)
+        g = -_lse(log_kernel, f[:, None], 0, work)
         iters += 1
-    row_lse = _lse(log_kernel + g[None, :], axis=1)
+    row_lse = _lse(log_kernel, g[None, :], 1, work)
     row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
-    plan = np.exp(log_kernel + f[:, None] + g[None, :])
-    return plan, iters, row_err
+    np.add(log_kernel, f[:, None], out=work)
+    work += g[None, :]
+    return np.exp(work, out=work), iters, row_err
 
 
 def _check_prior(p: ProbMatrix, prior: ClassPrior) -> None:

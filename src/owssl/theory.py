@@ -12,6 +12,7 @@ verification in `monte_carlo_ecs`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -241,7 +242,9 @@ def monte_carlo_ecs(
         else:
             counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=m)
         a_con = budget[None, :] - counts
-        chi = (np.square(a_con[:, live] - expected_u[None, :]) / expected_u[None, :]).sum(axis=1)
+        # class by class, not .sum(axis=1): numpy groups the terms of a
+        # contiguous row (a C-ordered chunk, or a chunk of one trial) pairwise
+        chi = functools.reduce(np.add, (np.square(a_con[:, live] - expected_u) / expected_u).T)
         mu = a_con / spec.n_unlabeled
         # not chi.sum(): numpy groups the terms of a contiguous sum by build
         # and CPU, which can move the last digit of the mean

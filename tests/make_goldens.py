@@ -9,11 +9,16 @@ chi-square values divided by the trial count (checked by
 `tests/test_theory.py`). A run that differs from it in the last digit
 reports a fault in the summation, not a stale golden; do not regenerate
 it to match one numpy build's reduction order.
+
+The `train` and `solve` goldens hold only within one numpy/BLAS build (see
+the README); `GOLDEN_BUILD` names the build they were last verified on, and
+a failing comparison prints it next to `build_fingerprint()`.
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +28,30 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_BUILD = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0"
+
+
+def build_fingerprint() -> str:
+    """Python, numpy, scipy and BLAS versions of this interpreter, as in GOLDEN_BUILD."""
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy builds without machine-readable config
+        blas_name = "BLAS unknown"
+    return (
+        f"Python {platform.python_version()}, numpy {np.__version__}, "
+        f"scipy {scipy.__version__}, {blas_name}"
+    )
+
+
+def build_note(name: str) -> str:
+    """Assertion message for a golden that only holds within one build."""
+    return (
+        f"{name} differs from its golden; this build: {build_fingerprint()}; "
+        f"goldens last verified on: {GOLDEN_BUILD}"
+    )
 
 
 def cli(*args: str, cwd=None) -> None:
@@ -34,7 +63,7 @@ def cli(*args: str, cwd=None) -> None:
 
 
 def main() -> None:
-    from owssl.cli import write_labels, write_matrix, write_prior
+    from owssl.cli import write_labels, write_prior, write_table
     from owssl.core import ClassPrior
 
     GOLDEN.mkdir(exist_ok=True)
@@ -42,7 +71,7 @@ def main() -> None:
     # solve: the K=2, N=3 conditional fixture (one labeled class-0 column)
     solve = GOLDEN / "solve"
     solve.mkdir(exist_ok=True)
-    write_matrix(solve / "p.csv", np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
+    write_table(solve / "p.csv", np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]), "class-rows")
     write_prior(solve / "prior.csv", ClassPrior.uniform(2))
     write_labels(solve / "labels.csv", np.array([0]))
     cli(

@@ -84,21 +84,37 @@ def brute_force_match_accuracy(pred: np.ndarray, truth: np.ndarray, size: int) -
     return best / pred.size
 
 
-def exact_chi_square_sum(labeled_counts, budget, expected) -> Fraction:
-    """Exact rational sum over trials of each trial's float64 chi-square.
+def chi_square_by_class(labeled_counts, budget, expected) -> list[float]:
+    """Each trial's float64 chi-square, added class by class in index order.
 
     Row t of labeled_counts gives the conditional estimate budget - counts;
     its statistic sum_j (estimate_j - expected_j)^2 / expected_j is formed in
-    float64, term by term, and only the sum over trials is exact.
+    float64, one term at a time.
     """
-    total = Fraction(0)
+    chis = []
     for counts in np.asarray(labeled_counts).tolist():
         chi = 0.0
         for b, c, e in zip(budget.tolist(), counts, expected.tolist()):
             d = (b - c) - e
             chi += d * d / e
-        total += Fraction(chi)
-    return total
+        chis.append(chi)
+    return chis
+
+
+def exact_chi_square_sum(labeled_counts, budget, expected) -> Fraction:
+    """Exact rational sum over trials of each trial's float64 chi-square."""
+    return sum(map(Fraction, chi_square_by_class(labeled_counts, budget, expected)), Fraction(0))
+
+
+def lse_two_temporaries(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along `axis` with fresh temporaries, tolerating -inf entries.
+
+    The formula the solver's buffer-reusing `_lse` must match bit for bit.
+    """
+    peak = np.max(arr, axis=axis, keepdims=True)
+    safe = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(arr - safe), axis=axis)) + np.squeeze(safe, axis=axis)
 
 
 def central_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -34,6 +34,7 @@ from owssl.theory import (
 )
 from owssl.threshold import ThresholdState, hierarchical_threshold, make_pseudo_batch, thresholds
 
+from make_goldens import build_note
 from oracles import (
     brute_force_assignment,
     central_difference_gradient,
@@ -432,6 +433,8 @@ def test_c14_cli_golden_files():
         )
         ok &= solve_ok
         details.append(f"solve {solve_ok}")
+        if not solve_ok:
+            details.append(build_note("solve"))
 
         r = run(
             "theory",
@@ -486,6 +489,8 @@ def test_c14_cli_golden_files():
         )
         ok &= train_ok
         details.append(f"train {train_ok}")
+        if not train_ok:
+            details.append(build_note("train"))
 
         r = run(
             "eval",

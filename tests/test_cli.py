@@ -9,14 +9,15 @@ import pytest
 from owssl.cli import (
     ParseError,
     read_labels,
-    read_matrix,
     read_prior,
+    read_table,
     write_labels,
-    write_matrix,
     write_prior,
+    write_table,
 )
 from owssl.core import ClassPrior
 
+from make_goldens import build_note
 from oracles import sinkhorn_extended
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,8 +46,8 @@ class TestFormats:
         rng = np.random.default_rng(0)
         mat = rng.dirichlet(np.ones(3), size=5).T
         path = tmp_path / "m.csv"
-        write_matrix(path, mat)
-        back = read_matrix(path)
+        write_table(path, mat, "class-rows")
+        back = read_table(path, "class-rows")
         assert back.tobytes() == mat.tobytes()
 
     def test_prior_roundtrip(self, tmp_path):
@@ -62,26 +63,55 @@ class TestFormats:
             np.testing.assert_array_equal(read_labels(path), labels)
 
     def test_features_roundtrip_lossless(self, tmp_path):
-        from owssl.cli import read_features, write_features
-
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(7, 3)) * 1e3
         path = tmp_path / "features.csv"
-        write_features(path, feats)
-        assert read_features(path).tobytes() == feats.tobytes()
+        write_table(path, feats, "sample-rows")
+        assert path.read_text().startswith("# n=7 d=3 layout=sample-rows\n")
+        assert read_table(path, "sample-rows").tobytes() == feats.tobytes()
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# k=2 n=2 layout=class-rows\n0.5,0.5\n0.5,nope\n")
         with pytest.raises(ParseError) as err:
-            read_matrix(path)
+            read_table(path, "class-rows")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "layout, text, line, message",
+        [
+            ("class-rows", "# k=2 layout=class-rows\n0.5\n", 1, "bad k/n in header: 'n'"),
+            ("sample-rows", "# n=x d=2 layout=sample-rows\n", 1, "bad n/d in header"),
+            ("class-rows", "# k=2 n=1 layout=class-rows\n1.0\n", 2, "expected 2 rows, found 1"),
+            ("sample-rows", "# n=2 d=3 layout=sample-rows\n1,2,3\n1,2\n", 3,
+             "expected 3 columns, found 2"),
+        ],
+    )
+    def test_table_errors_name_line_and_cause(self, tmp_path, layout, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_table(path, layout)
+        assert err.value.line == line
+        assert message in str(err.value)
 
     def test_wrong_layout_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# k=2 n=1 layout=prior\n1.0\n0.0\n")
         with pytest.raises(ParseError):
-            read_matrix(path)
+            read_table(path, "class-rows")
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.optimize is imported by the first Hungarian matching, not at start-up
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, owssl.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -120,7 +150,7 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_degenerate_prior_is_computation_failure(self, tmp_path):
-        write_matrix(tmp_path / "p.csv", np.full((2, 2), 0.5))
+        write_table(tmp_path / "p.csv", np.full((2, 2), 0.5), "class-rows")
         (tmp_path / "prior.csv").write_text("# k=2 layout=prior\n1.0,0.0\n")
         result = run_cli(
             "solve",
@@ -157,17 +187,19 @@ class TestGoldenSolve:
             "--epsilon", "0.1",
         )
         assert result.returncode == 0
-        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes()
+        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes(), (
+            build_note("solve q.csv")
+        )
         assert (
             (tmp_path / "report.json").read_bytes()
             == (GOLDEN / "solve" / "report.json").read_bytes()
-        )
+        ), build_note("solve report.json")
 
     def test_golden_solution_matches_oracle(self):
         # the committed assignment is validated against the independent
         # extended-precision solver on the reduced unlabeled block
-        q = read_matrix(GOLDEN / "solve" / "q.csv")
-        p = read_matrix(GOLDEN / "solve" / "p.csv")
+        q = read_table(GOLDEN / "solve" / "q.csv", "class-rows")
+        p = read_table(GOLDEN / "solve" / "p.csv", "class-rows")
         np.testing.assert_array_equal(q[:, 0], [1.0, 0.0])
         reference = sinkhorn_extended(
             p[:, 1:], np.array([0.5, 1.5]), epsilon=0.1, iters=100_000, tol=1e-14
@@ -185,7 +217,9 @@ class TestGoldenSolve:
             "--inverse-epsilon", "10",
         )
         assert result.returncode == 0
-        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes()
+        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes(), (
+            build_note("solve q.csv")
+        )
 
 
 class TestGoldenTheory:
@@ -244,7 +278,9 @@ class TestGoldenGenDataAndTrain:
         )
         assert result.returncode == 0
         for name in ("runlog.jsonl", "bias.csv", "metrics.json", "plot.csv"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes(), (
+                build_note(f"train {name}")
+            )
 
     def test_zero_epochs_writes_header_only_outputs(self, tmp_path):
         config = json.loads((GOLDEN / "run_config.json").read_text())

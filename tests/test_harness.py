@@ -1,7 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from owssl.core import ClassPrior, LabeledBlock, Rng
+from owssl.core import ClassPrior, LabeledBlock, Rng, ShapeMismatch
 from owssl.evaluation import manhattan_bias
 from owssl.harness import (
     EpochOutOfRange,
@@ -145,6 +149,53 @@ class TestLogitQueue:
         mat, tags = q.matrix()
         assert mat.shape == (3, 10)
         assert len(q) == 10
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 9),
+        k=st.integers(1, 3),
+        batches=st.lists(st.integers(0, 20), min_size=1, max_size=10),
+    )
+    def test_matches_deque_model(self, capacity, k, batches):
+        # reference: a bounded deque of per-column copies, the queue's contract
+        q = LogitQueue(capacity)
+        cols, tags = deque(maxlen=capacity), deque(maxlen=capacity)
+        start = 0
+        for b in batches:
+            ids = np.arange(start, start + b)
+            start += b
+            probs = ids[None, :] + 0.25 * np.arange(k)[:, None]
+            batch_tags = np.where(ids % 3 == 0, -1, ids % 5)
+            q.push(probs, batch_tags)
+            for j in range(b):
+                cols.append(probs[:, j].copy())
+                tags.append(int(batch_tags[j]))
+            assert len(q) == len(cols)
+            if not cols:
+                with pytest.raises(ValueError):
+                    q.matrix()
+                continue
+            mat, got_tags = q.matrix()
+            np.testing.assert_array_equal(mat, np.column_stack(list(cols)))
+            np.testing.assert_array_equal(got_tags, list(tags))
+
+    def test_matrix_returns_copies(self):
+        q = LogitQueue(capacity=3)
+        q.push(np.eye(2)[:, [0, 1, 0]], np.array([0, -1, 1]))
+        mat, tags = q.matrix()
+        mat[:] = 7.0
+        tags[:] = 9
+        mat, tags = q.matrix()
+        np.testing.assert_array_equal(mat, np.eye(2)[:, [0, 1, 0]])
+        np.testing.assert_array_equal(tags, [0, -1, 1])
+
+    def test_push_with_other_class_count_rejected(self):
+        q = LogitQueue(capacity=4)
+        q.push(np.full((2, 1), 0.5), np.array([-1]))
+        with pytest.raises(ShapeMismatch):
+            q.push(np.full((3, 1), 1 / 3), np.array([-1]))
+        with pytest.raises(ShapeMismatch):
+            q.push(np.full((2, 2), 0.5), np.array([-1]))
 
 
 class TestToyModel:

@@ -7,13 +7,14 @@ from owssl.sinkhorn import (
     DegeneratePrior,
     InfeasibleResidual,
     SinkhornConfig,
+    _lse,
     marginal_error,
     residual_row_marginals,
     solve_conditional,
     solve_unconditional,
 )
 
-from oracles import sinkhorn_extended, lp_assignment_values
+from oracles import lp_assignment_values, lse_two_temporaries, sinkhorn_extended
 
 
 def random_instance(rng, k, n, col_alpha=2.0, prior_alpha=10.0):
@@ -35,6 +36,29 @@ class TestConfig:
         assert SinkhornConfig.training().max_iters == 10
         assert SinkhornConfig.training().tol == 0.0
         assert SinkhornConfig.verification().tol == 1e-9
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_two_temporary_formula_bitwise(self, axis, shape, order):
+        # zero-mass rows enter as -inf, both in the kernel and in the shift;
+        # numpy adds the terms of a sum in an order set by the array layout,
+        # so the work buffer takes the kernel's
+        rng = np.random.default_rng(shape[1] + axis)
+        k, n = shape
+        p = np.asarray(rng.dirichlet(np.ones(k), size=n).T, order=order)
+        log_kernel = np.log(p) / 0.05
+        log_kernel[1] = -np.inf
+        if axis == 0:
+            shift = rng.normal(scale=40.0, size=(k, 1))
+            shift[3] = -np.inf
+        else:
+            shift = rng.normal(scale=40.0, size=(1, n))
+        want = lse_two_temporaries(log_kernel + shift, axis)
+        got = _lse(log_kernel, shift, axis, np.empty_like(log_kernel))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestMarginalError:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from owssl.theory import (
     ecs_ordering_condition,
 )
 
-from oracles import exact_chi_square_sum
+from oracles import chi_square_by_class, exact_chi_square_sum
 
 
 def spec_of(pl, pu, nl, nu):
@@ -252,6 +254,24 @@ class TestMonteCarloEcs:
             WORKED.n_unlabeled * WORKED.prior_unlabeled.probs,
         )
         assert report.ecs_con_empirical == float(exact_sum) / trials
+
+    def test_con_mean_adds_classes_in_order(self):
+        # K=10: numpy sums ten contiguous terms pairwise, so a C-ordered chunk,
+        # or a chunk of one trial, must not be summed with .sum(axis=1). A
+        # one-trial report is that trial's statistic, which shows a regrouping
+        # in its last digit; 20 000 trials fill one chunk.
+        weights = np.arange(1.0, 11.0)
+        spec = spec_of(weights[::-1] / weights.sum(), weights / weights.sum(), 300, 700)
+        budget = spec.n_total * spec.prior.probs
+        expected = spec.n_unlabeled * spec.prior_unlabeled.probs
+        for trials, seeds in ((1, range(20)), (20_000, [11])):
+            for seed in seeds:
+                report = monte_carlo_ecs(spec, trials, Rng(seed))
+                counts = Rng(seed).derive(0).generator().multinomial(
+                    spec.n_labeled, spec.prior_labeled.probs, size=trials
+                )
+                chis = chi_square_by_class(counts, budget, expected)
+                assert report.ecs_con_empirical == math.fsum(chis) / trials, (trials, seed)
 
     def test_report_serializes(self):
         report = monte_carlo_ecs(WORKED, 100, Rng(5))
