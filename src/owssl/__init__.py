@@ -29,7 +29,6 @@ from .objectives import (
     LossBreakdown,
     ce_logit_gradient,
     clustering_loss,
-    clustering_loss_multiview,
     confidence_loss,
     cross_entropy,
     supervised_loss,

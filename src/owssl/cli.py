@@ -20,6 +20,7 @@ from . import harness
 from .core import (
     ClassPrior,
     LabeledBlock,
+    LabelOutOfSeenSet,
     OwsslError,
     PartitionSpec,
     ProbMatrix,
@@ -29,7 +30,6 @@ from .core import (
 from .evaluation import clustering_report
 from .sinkhorn import (
     SinkhornConfig,
-    residual_was_clamped,
     solve_conditional,
     solve_unconditional,
 )
@@ -203,15 +203,12 @@ def cmd_solve(args) -> int:
     conditional = args.labels is not None and not args.unconditional
     if args.conditional and args.labels is None:
         raise UsageError("--conditional requires --labels")
-    clamped = False
     if conditional:
         if not Path(args.labels).exists():
             raise UsageError(f"labels file {args.labels} does not exist")
         labels = read_labels(args.labels)
         if labels.size > p.n:
             raise DimensionMismatch(f"{labels.size} labels for {p.n} columns")
-        counts = np.bincount(labels, minlength=p.k) if labels.size else np.zeros(p.k, int)
-        clamped = residual_was_clamped(prior, counts, p.n)
         assignment = solve_conditional(p, prior, LabeledBlock(labels), cfg)
     else:
         assignment = solve_unconditional(p, prior, cfg)
@@ -227,7 +224,7 @@ def cmd_solve(args) -> int:
             "converged": assignment.converged,
             "row_marginal_err": assignment.row_marginal_err,
             "col_marginal_err": assignment.col_marginal_err,
-            "residual_clamped": clamped,
+            "residual_clamped": assignment.residual_clamped,
         },
     )
     return 0
@@ -292,8 +289,6 @@ def _hyper_params(payload: dict) -> harness.HyperParams:
         max_iters=sk.get("max_iters", 10),
         tol=sk.get("tol", 0.0),
     )
-    if "loss_weights" in payload:
-        payload["loss_weights"] = tuple(payload["loss_weights"])
     known = {f.name for f in harness.HyperParams.__dataclass_fields__.values()}
     extra = set(payload) - known
     if extra:
@@ -524,7 +519,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UsageError, DimensionMismatch, LengthMismatch) as exc:
+    except (ParseError, UsageError, DimensionMismatch, LengthMismatch, LabelOutOfSeenSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -227,25 +227,14 @@ class Rng:
 
 
 def softmax(logits) -> np.ndarray:
-    """Shift-invariant softmax of a 1-D logit vector."""
-    vec = _as_float_vector(logits, "logits")
-    if not np.all(np.isfinite(vec)):
+    """Shift-invariant softmax along axis 0: of a logit vector, or of each K x N matrix column."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim not in (1, 2) or z.shape[0] < 1:
+        raise ShapeMismatch(f"logits must be a non-empty vector or K x N matrix, not {z.shape}")
+    if not np.all(np.isfinite(z)):
         raise NonFiniteInput("logits contain non-finite entries")
-    shifted = vec - vec.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
-def softmax_columns(logits: np.ndarray) -> np.ndarray:
-    """Column-wise softmax of a K x N logit matrix."""
-    mat = np.asarray(logits, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D logit matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteInput("logits contain non-finite entries")
-    shifted = mat - mat.max(axis=0, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=0, keepdims=True)
+    expd = np.exp(z - z.max(axis=0))
+    return expd / expd.sum(axis=0)
 
 
 def worker_cap(default: int = 1) -> int:

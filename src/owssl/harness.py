@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    PROB_FLOOR,
     ClassPrior,
     LabeledBlock,
     OwsslError,
@@ -23,13 +22,14 @@ from .core import (
     ProbMatrix,
     Rng,
     ShapeMismatch,
-    softmax_columns,
+    softmax,
 )
 from .evaluation import clustering_accuracy, manhattan_bias
 from .objectives import (
     LossBreakdown,
-    _colwise_cross_entropy,
+    clustering_loss,
     confidence_loss,
+    supervised_loss,
     total_loss,
 )
 from .sinkhorn import (
@@ -231,7 +231,7 @@ class ToyModel:
         return self.weights @ (x / self.input_scale).T + self.bias[:, None]
 
     def predict(self, x: np.ndarray) -> ProbMatrix:
-        return ProbMatrix(softmax_columns(self.logits(x)))
+        return ProbMatrix(softmax(self.logits(x)))
 
 
 class LogitQueue:
@@ -296,7 +296,6 @@ class HyperParams:
     confidence: bool = True
     threshold_policy: str = "hierarchical"
     static_threshold: float = 0.95
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     weight_decay: float = 0.02
     init_scale: float = 0.1
     seed: int = 0
@@ -472,7 +471,6 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
 
     queue = LogitQueue(hyper.queue_capacity)
     log = RunLog()
-    w_sup, w_cls, w_conf = hyper.loss_weights
 
     n_batches = math.ceil(n / hyper.batch_size)
     total_steps = max(hyper.epochs * n_batches, 1)
@@ -489,47 +487,36 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
             tags = np.where(is_lab, dataset.labels[batch], -1)
 
             xw = weak_view(x, sigma_weak, gen_noise)
-            logits_w = model.logits(xw)
-            probs_w = softmax_columns(logits_w)
+            probs_w = softmax(model.logits(xw))
             grad_w = np.zeros_like(probs_w)
             d_weights = np.zeros_like(model.weights)
             d_bias = np.zeros_like(model.bias)
 
             # supervised term on the labeled part of the batch
-            sup = 0.0
-            lab_pos = np.flatnonzero(is_lab)
-            if lab_pos.size:
-                y = dataset.labels[batch[lab_pos]]
-                picked = probs_w[y, lab_pos]
-                sup = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-                g = probs_w[:, lab_pos].copy()
-                g[y, np.arange(lab_pos.size)] -= 1.0
-                grad_w[:, lab_pos] += w_sup * g / lab_pos.size
+            sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
+            grad_w[:, is_lab] += g_sup
 
-            # clustering term against queue-derived self-labels
+            # clustering term against queue-derived self-labels, on the weak
+            # view and the local views
             cov = np.arange(b) if hyper.conditional else np.flatnonzero(~is_lab)
             cls = 0.0
             if cov.size:
-                if hyper.conditional:
-                    queue.push(probs_w, tags)
-                else:
-                    queue.push(probs_w[:, cov], tags[cov])
+                probs_cov = probs_w[:, cov]
+                queue.push(probs_cov, tags[cov])
                 q_batch = _solve_queue(
                     queue, prior, hyper.sinkhorn, hyper.conditional, cov.size
                 )
-                denom = (hyper.local_views + 1) * cov.size
-                cls_total = float(_colwise_cross_entropy(q_batch, probs_w[:, cov]).sum())
-                grad_w[:, cov] += w_cls * (probs_w[:, cov] - q_batch) / denom
-                for _ in range(hyper.local_views):
-                    xl = local_view(
-                        x[cov], sigma_strong, hyper.local_mask_fraction, gen_noise
-                    )
-                    probs_l = softmax_columns(model.logits(xl))
-                    cls_total += float(_colwise_cross_entropy(q_batch, probs_l).sum())
-                    g_l = w_cls * (probs_l - q_batch) / denom
+                xls = [
+                    local_view(x[cov], sigma_strong, hyper.local_mask_fraction, gen_noise)
+                    for _ in range(hyper.local_views)
+                ]
+                cls, g_cls = clustering_loss(
+                    q_batch, [probs_cov] + [softmax(model.logits(xl)) for xl in xls]
+                )
+                grad_w[:, cov] += g_cls[0]
+                for xl, g_l in zip(xls, g_cls[1:]):
                     d_weights += g_l @ (xl / scale)
                     d_bias += g_l.sum(axis=1)
-                cls = cls_total / denom
 
             # confidence term on strong views of the whole batch
             conf = 0.0
@@ -548,11 +535,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
                 retained = pseudo.retained_fraction
                 if pseudo.mask.any():
                     xs = strong_view(x, sigma_strong, gen_noise)
-                    probs_s = softmax_columns(model.logits(xs))
-                    conf = confidence_loss(pseudo, ProbMatrix(probs_s))
-                    g_s = probs_s.copy()
-                    g_s[pseudo.labels, np.arange(b)] -= 1.0
-                    g_s *= w_conf * pseudo.mask / b
+                    conf, g_s = confidence_loss(pseudo, softmax(model.logits(xs)))
                     d_weights += g_s @ (xs / scale)
                     d_bias += g_s.sum(axis=1)
 

@@ -1,4 +1,4 @@
-"""Supervised, clustering, multi-view, and confidence losses plus analytic gradients."""
+"""The training loss terms; each returns its value and its gradient with respect to the logits."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from .core import (
     PROB_FLOOR,
     NonFiniteInput,
     OwsslError,
-    ProbMatrix,
     ShapeMismatch,
     softmax,
     _as_float_vector,
 )
-from .sinkhorn import Assignment
 
 
 class NonFiniteComponent(OwsslError):
@@ -25,7 +23,7 @@ class NonFiniteComponent(OwsslError):
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term losses; `total` is their exact (weighted) sum."""
+    """Per-term losses; `total` is their exact sum."""
 
     sup: float
     cls: float
@@ -36,11 +34,8 @@ class LossBreakdown:
 
 def cross_entropy(target, pred) -> float:
     """H(t, p) = -sum t_i log p_i with predictions floored at 1e-12."""
-    t = _as_float_vector(target, "target")
-    p = _as_float_vector(pred, "pred")
-    if t.shape != p.shape:
-        raise ShapeMismatch(f"target shape {t.shape} != pred shape {p.shape}")
-    return float(-(t * np.log(np.maximum(p, PROB_FLOOR))).sum())
+    t, p = _as_float_vector(target, "target"), _as_float_vector(pred, "pred")
+    return float(_colwise_cross_entropy(t, p))
 
 
 def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -49,75 +44,72 @@ def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray
     return -(targets * np.log(np.maximum(preds, PROB_FLOOR))).sum(axis=0)
 
 
-def supervised_loss(labels, preds: ProbMatrix) -> float:
-    """Mean cross-entropy against one-hot ground truth; 0 for an empty block."""
+def supervised_loss(labels, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of K x B predictions against one-hot labels, and its gradient.
+
+    An empty label vector gives (0.0, zeros).
+    """
     idx = np.asarray(labels, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeMismatch("labels must be a 1-D vector of class indices")
     if idx.size == 0:
-        return 0.0
-    if idx.size != preds.n:
-        raise ShapeMismatch(f"{idx.size} labels for {preds.n} prediction columns")
-    if idx.min() < 0 or idx.max() >= preds.k:
+        return 0.0, np.zeros_like(probs)
+    k, n = probs.shape
+    if idx.size != n:
+        raise ShapeMismatch(f"{idx.size} labels for {n} prediction columns")
+    if idx.min() < 0 or idx.max() >= k:
         raise ShapeMismatch("label index outside 0..K-1")
-    picked = preds.data[idx, np.arange(idx.size)]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+    cols = np.arange(n)
+    value = float(-np.log(np.maximum(probs[idx, cols], PROB_FLOOR)).mean())
+    grad = probs.copy()
+    grad[idx, cols] -= 1.0
+    grad /= n
+    return value, grad
 
 
-def clustering_loss(assignment: Assignment, preds: ProbMatrix) -> float:
-    """Mean cross-entropy between optimized self-labels and predictions."""
-    q = assignment.q
-    return float(_colwise_cross_entropy(q.data, preds.data).sum() / q.n)
+def clustering_loss(q: np.ndarray, views: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    """Self-label cross-entropy averaged over V views of the same K x n columns.
 
-
-def clustering_loss_multiview(
-    assignment: Assignment, global_preds: ProbMatrix, local_preds: Sequence[ProbMatrix]
-) -> float:
-    """Self-label cross-entropy averaged over the global view and V local views.
-
-    With an empty view list this reduces bitwise to `clustering_loss`.
+    `views` holds the weak view first, then the local views. Returns the
+    value and, per view, its logit gradient (p - q) / (V n).
     """
-    q = assignment.q
-    terms = _colwise_cross_entropy(q.data, global_preds.data)
-    for view in local_preds:
-        terms = terms + _colwise_cross_entropy(q.data, view.data)
-    return float(terms.sum() / ((len(local_preds) + 1) * q.n))
+    if not views:
+        raise ShapeMismatch("clustering_loss needs at least one view")
+    denom = len(views) * q.shape[1]
+    # per-view sums added in view order, then one division: the `train`
+    # golden holds the bytes of exactly this order
+    total = float(_colwise_cross_entropy(q, views[0]).sum())
+    for p in views[1:]:
+        total += float(_colwise_cross_entropy(q, p).sum())
+    return total / denom, [(p - q) / denom for p in views]
 
 
-def confidence_loss(pseudo, strong_preds: ProbMatrix) -> float:
-    """Masked cross-entropy of strong-view predictions against pseudo-labels.
+def confidence_loss(pseudo, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Masked cross-entropy of K x B strong-view predictions and pseudo-labels, and its gradient.
 
     Normalizes by the total sample count, not the retained count, so
     raising a threshold can only remove non-negative terms.
     """
-    if pseudo.labels.size != strong_preds.n:
-        raise ShapeMismatch(f"{pseudo.labels.size} pseudo-labels for {strong_preds.n} columns")
-    n = strong_preds.n
+    n = probs.shape[1]
+    if pseudo.labels.size != n:
+        raise ShapeMismatch(f"{pseudo.labels.size} pseudo-labels for {n} columns")
     if not pseudo.mask.any():
-        return 0.0
-    picked = strong_preds.data[pseudo.labels, np.arange(n)]
-    losses = -np.log(np.maximum(picked, PROB_FLOOR))
-    return float((losses * pseudo.mask).sum() / n)
+        return 0.0, np.zeros_like(probs)
+    cols = np.arange(n)
+    losses = -np.log(np.maximum(probs[pseudo.labels, cols], PROB_FLOOR))
+    grad = probs.copy()
+    grad[pseudo.labels, cols] -= 1.0
+    grad *= pseudo.mask / n
+    return float((losses * pseudo.mask).sum() / n), grad
 
 
-def total_loss(
-    sup: float,
-    cls: float,
-    conf: float,
-    retained_fraction: float = 0.0,
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> LossBreakdown:
-    """Combine the three terms; default weights give the plain unweighted sum."""
-    parts = (weights[0] * sup, weights[1] * cls, weights[2] * conf)
+def total_loss(sup: float, cls: float, conf: float, retained_fraction: float = 0.0
+               ) -> LossBreakdown:
+    """Combine the three terms into their plain sum."""
+    parts = (sup, cls, conf)
     if not all(np.isfinite(parts)):
         raise NonFiniteComponent(f"non-finite loss component in {parts}")
-    return LossBreakdown(
-        sup=parts[0],
-        cls=parts[1],
-        conf=parts[2],
-        total=parts[0] + parts[1] + parts[2],
-        retained_fraction=retained_fraction,
-    )
+    return LossBreakdown(sup, cls, conf, sup + cls + conf, retained_fraction)
 
 
 def ce_logit_gradient(target, logits) -> np.ndarray:

@@ -78,6 +78,8 @@ class Assignment:
     `col_marginal_err` the L1 deviation of column sums from 1. A failed
     early stop is reported through `converged` and a NoConvergence warning
     rather than an exception; the assignment is still returned.
+    `residual_clamped` is True when some labeled class count exceeds its
+    N * p_i budget, so its residual marginal was clamped to zero.
     """
 
     q: ProbMatrix
@@ -85,6 +87,7 @@ class Assignment:
     col_marginal_err: float
     iters_used: int
     converged: bool
+    residual_clamped: bool = False
 
 
 def marginal_error(q: ProbMatrix, target_rows, target_cols) -> tuple[float, float]:
@@ -123,12 +126,6 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
     if mass <= 0:
         raise InfeasibleResidual("all residual marginals are zero but unlabeled samples remain")
     return residual * (n_unlabeled / mass)
-
-
-def residual_was_clamped(prior: ClassPrior, labeled_counts, n_total: int) -> bool:
-    """True when some labeled class count exceeds its N * p_i budget."""
-    counts = np.asarray(labeled_counts)
-    return bool(np.any(n_total * prior.probs - counts < 0))
 
 
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
@@ -198,6 +195,8 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     if n_labeled and (labels.min() < 0 or labels.max() >= k):
         raise LabelOutOfSeenSet("labeled class index outside 0..K-1")
     counts = np.bincount(labels, minlength=k) if n_labeled else np.zeros(k, dtype=np.int64)
+    # the deficit that residual_row_marginals clamps to zero
+    clamped = bool(np.any(n * prior.probs - counts < 0))
 
     q = np.zeros((k, n))
     if n_labeled:
@@ -218,7 +217,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
         warnings.warn(
             NoConvergence(f"row error {solver_err!r} > tol {cfg.tol!r} after {iters_used} iterations")
         )
-    return Assignment(assignment, row_err, col_err, iters_used, converged)
+    return Assignment(assignment, row_err, col_err, iters_used, converged, clamped)
 
 
 def solve_unconditional(p: ProbMatrix, prior: ClassPrior, cfg: SinkhornConfig) -> Assignment:

@@ -161,6 +161,23 @@ class TestExitCodes:
         )
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "k"])
+    def test_label_outside_classes_is_usage_error(self, tmp_path, label):
+        write_table(tmp_path / "p.csv", np.full((2, 3), 0.5), "class-rows")
+        write_prior(tmp_path / "prior.csv", ClassPrior.uniform(2))
+        write_labels(tmp_path / "labels.csv", np.array([0, label]))
+        result = run_cli(
+            "solve",
+            "--input", str(tmp_path / "p.csv"),
+            "--prior", str(tmp_path / "prior.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--out", str(tmp_path / "q.csv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "class index" in result.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_length_mismatch(self, tmp_path):
         write_labels(tmp_path / "a.csv", np.array([0, 1]))
         write_labels(tmp_path / "b.csv", np.array([0, 1, 1]))

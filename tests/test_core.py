@@ -13,8 +13,8 @@ from owssl.core import (
     PartitionSpec,
     ProbMatrix,
     Rng,
+    ShapeMismatch,
     softmax,
-    softmax_columns,
     validate_prob_matrix,
 )
 
@@ -112,9 +112,14 @@ class TestSoftmax:
 
     def test_columns_match_vector_form(self):
         mat = np.array([[1.0, 0.0], [2.0, -1.0], [3.0, 0.5]])
-        cols = softmax_columns(mat)
+        cols = softmax(mat)
         for j in range(2):
             np.testing.assert_allclose(cols[:, j], softmax(mat[:, j]), atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 2, 2)])
+    def test_rejects_empty_or_higher_rank(self, shape):
+        with pytest.raises(ShapeMismatch):
+            softmax(np.zeros(shape))
 
 
 class TestRng:

@@ -225,6 +225,19 @@ class TestConditional:
         assert uncond.row_marginal_err == cond.row_marginal_err
         assert uncond.iters_used == cond.iters_used
 
+    @pytest.mark.parametrize(
+        "labels, clamped",
+        [([], False), ([0, 1], False), ([0, 0], False), ([0, 0, 0], True), ([0] * 6, True)],
+    )
+    def test_reports_residual_clamping(self, labels, clamped):
+        # uniform prior over 6 columns: each class has a budget of 2 columns
+        p = ProbMatrix(np.full((3, 6), 1 / 3))
+        prior = ClassPrior.uniform(3)
+        block = LabeledBlock(np.array(labels, dtype=int))
+        out = solve_conditional(p, prior, block, SinkhornConfig.training())
+        assert out.residual_clamped is clamped
+        assert solve_unconditional(p, prior, SinkhornConfig.training()).residual_clamped is False
+
     def test_labeled_columns_exact_zero_deviation(self):
         rng = np.random.default_rng(3)
         p, prior = random_instance(rng, 3, 8)
