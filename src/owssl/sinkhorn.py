@@ -128,14 +128,26 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
     return residual * (n_unlabeled / mass)
 
 
-def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
+# np.exp is tens of times slower on arguments whose result is subnormal
+# (below about -708); exp(-700) is still normal. Every finite line holds its
+# peak term exp(0) = 1, so terms raised to this floor stay below 1e-304 and
+# vanish when added to it: the sums keep their bytes.
+_EXP_FLOOR = -700.0
+
+
+def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
+         floor: bool = True) -> np.ndarray:
     # log-sum-exp of log_kernel + shift that tolerates -inf entries (zero
     # mass); the sum, its shifted copy and their exponentials are written
-    # into `work` in turn, so an iteration allocates no K x N temporaries
+    # into `work` in turn, so an iteration allocates no K x N temporaries.
+    # With `floor`, shifted arguments below _EXP_FLOOR are raised to it.
     np.add(log_kernel, shift, out=work)
     peak = np.max(work, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
+    finite = np.isfinite(peak)
+    safe = np.where(finite, peak, 0.0)
     np.subtract(work, safe, out=work)
+    if floor:
+        np.maximum(work, np.where(finite, _EXP_FLOOR, -np.inf), out=work)
     np.exp(work, out=work)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(work, axis=axis)) + np.squeeze(safe, axis=axis)
@@ -157,21 +169,25 @@ def _entropic_plan(
     log_kernel = np.log(np.clip(p_block, PROB_FLOOR, None)) / cfg.epsilon
     with np.errstate(divide="ignore"):
         log_rows = np.log(row_targets)
+    # g differs between columns by at most the kernel's span, and the finite f
+    # between rows by that plus the spread of the log targets, so no shifted
+    # argument falls below -(2 span + spread): floor only if that reaches it
+    live = log_rows[np.isfinite(log_rows)]
+    floor = 2 * np.ptp(log_kernel) + np.ptp(live) > -_EXP_FLOOR
     f = np.zeros(k)
     g = np.zeros(n)
     work = np.empty_like(log_kernel)  # same layout, so the sums add in the same order
     iters = 0
-    while iters < cfg.max_iters:
-        row_lse = _lse(log_kernel, g[None, :], 1, work)
-        if iters > 0 and cfg.tol > 0:
+    while True:
+        row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
+        last = iters == cfg.max_iters
+        if last or (iters > 0 and cfg.tol > 0):
             row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
-            if row_err <= cfg.tol:
+            if last or row_err <= cfg.tol:
                 break
         f = log_rows - row_lse
-        g = -_lse(log_kernel, f[:, None], 0, work)
+        g = -_lse(log_kernel, f[:, None], 0, work, floor)
         iters += 1
-    row_lse = _lse(log_kernel, g[None, :], 1, work)
-    row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
     np.add(log_kernel, f[:, None], out=work)
     work += g[None, :]
     return np.exp(work, out=work), iters, row_err

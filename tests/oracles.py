@@ -117,6 +117,33 @@ def lse_two_temporaries(arr: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(arr - safe), axis=axis)) + np.squeeze(safe, axis=axis)
 
 
+def log_domain_plan(
+    p_block: np.ndarray, row_targets: np.ndarray, epsilon: float, max_iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Log-domain Sinkhorn plan on `lse_two_temporaries`, with no floor under exp.
+
+    The solver's update order and stopping rule, written with fresh
+    temporaries: the plan the solver's buffer-reusing, exp-floored iteration
+    must match bit for bit. Returns the plan, the row and column potentials
+    f, g and the number of update pairs.
+    """
+    k, n = p_block.shape
+    log_kernel = np.log(np.clip(p_block, 1e-12, None)) / epsilon
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(row_targets)
+    f = np.zeros(k)
+    g = np.zeros(n)
+    iters = 0
+    while iters < max_iters:
+        row_lse = lse_two_temporaries(log_kernel + g[None, :], 1)
+        if iters > 0 and tol > 0 and np.abs(np.exp(f + row_lse) - row_targets).sum() <= tol:
+            break
+        f = log_rows - row_lse
+        g = -lse_two_temporaries(log_kernel + f[:, None], 0)
+        iters += 1
+    return np.exp(log_kernel + f[:, None] + g[None, :]), f, g, iters
+
+
 def central_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     grad = np.zeros_like(x, dtype=np.float64)
     for i in range(x.size):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from owssl import sinkhorn
 from owssl.core import ClassPrior, LabeledBlock, ProbMatrix, ShapeMismatch
 from owssl.sinkhorn import (
     Assignment,
     DegeneratePrior,
     InfeasibleResidual,
+    NoConvergence,
     SinkhornConfig,
+    _EXP_FLOOR,
     _lse,
     marginal_error,
     residual_row_marginals,
@@ -14,7 +17,12 @@ from owssl.sinkhorn import (
     solve_unconditional,
 )
 
-from oracles import lp_assignment_values, lse_two_temporaries, sinkhorn_extended
+from oracles import (
+    log_domain_plan,
+    lp_assignment_values,
+    lse_two_temporaries,
+    sinkhorn_extended,
+)
 
 
 def random_instance(rng, k, n, col_alpha=2.0, prior_alpha=10.0):
@@ -59,6 +67,65 @@ class TestLogSumExp:
         want = lse_two_temporaries(log_kernel + shift, axis)
         got = _lse(log_kernel, shift, axis, np.empty_like(log_kernel))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_floor_edge_cases_bitwise(self, axis, order):
+        # the floor is on (the default); each line holds its peak, terms
+        # exactly at and just below the floor, terms in the subnormal band and
+        # terms that underflow to zero, beside whole -inf kernel lines, -inf
+        # shift entries and one line with no finite term
+        rng = np.random.default_rng(7 + axis)
+        k, n = 9, 40
+        offsets = np.array([0.0, _EXP_FLOOR, np.nextafter(_EXP_FLOOR, -np.inf), -720.0, -800.0])
+        # the other terms stay below the peak 0, so the offsets are the exact arguments
+        log_kernel = -rng.uniform(1.0, 900.0, size=(k, n))
+        if axis == 0:
+            log_kernel[: offsets.size] = offsets[:, None] + 5.0
+            log_kernel[:, 3] = -np.inf  # a line whose every term is -inf
+            log_kernel[6] = -np.inf  # a whole -inf kernel line across the reduction
+            shift = -rng.uniform(0.0, 5.0, size=(k, 1))
+            shift[: offsets.size] = -5.0
+            shift[7] = -np.inf
+        else:
+            log_kernel[:, : offsets.size] = offsets[None, :] + 5.0
+            log_kernel[3] = -np.inf
+            log_kernel[:, 6] = -np.inf
+            shift = -rng.uniform(0.0, 5.0, size=(1, n))
+            shift[:, : offsets.size] = -5.0
+            shift[:, 7] = -np.inf
+        log_kernel = np.asarray(log_kernel, order=order)
+        want = lse_two_temporaries(log_kernel + shift, axis)
+        got = _lse(log_kernel, shift, axis, np.empty_like(log_kernel))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5])
+    def test_shifted_arguments_respect_the_floor_bound(self, eps):
+        # the solver leaves the floor off when -(2 span + spread) stays above
+        # it, which holds only if no shifted argument of any iteration falls
+        # below that bound (span: of the log kernel; spread: of the finite log
+        # row targets; the zero-target row's arguments are -inf)
+        rng = np.random.default_rng(int(100 * eps))
+        k, n = 6, 40
+        p = rng.dirichlet(np.full(k, 0.3), size=n).T
+        targets = rng.dirichlet(np.ones(k)) * n
+        targets[2] = 0.0
+        log_kernel = np.log(np.clip(p, 1e-12, None)) / eps
+        with np.errstate(divide="ignore"):
+            log_rows = np.log(targets)
+        live = np.isfinite(log_rows)
+        bound = -(2 * np.ptp(log_kernel) + np.ptp(log_rows[live]))
+        f, g = np.zeros(k), np.zeros(n)
+        lowest = np.inf
+        for _ in range(30):
+            rows = log_kernel + g[None, :]
+            lowest = min(lowest, (rows - rows.max(axis=1, keepdims=True)).min())
+            f = log_rows - lse_two_temporaries(rows, 1)
+            cols = (log_kernel + f[:, None])[live]
+            lowest = min(lowest, (cols - cols.max(axis=0)).min())
+            g = -lse_two_temporaries(log_kernel + f[:, None], 0)
+        assert lowest >= bound * (1 + 1e-12)
 
 
 class TestMarginalError:
@@ -118,7 +185,7 @@ class TestUnconditional:
     def test_no_convergence_warning_and_fields(self):
         p = ProbMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
         cfg = SinkhornConfig(epsilon=0.1, max_iters=3, tol=1e-12)
-        with pytest.warns(UserWarning):
+        with pytest.warns(NoConvergence):
             out = solve_unconditional(p, ClassPrior.uniform(2), cfg)
         assert not out.converged
         assert out.iters_used == 3
@@ -134,20 +201,22 @@ class TestUnconditional:
     def test_small_epsilon_reaches_lp_optimum(self):
         # instances are filtered for a clear assignment gap: near-tied optima
         # keep the entropic solution mixed at any representable epsilon
+        # (the first instance stalls short of tol; the objective is still checked)
         rng = np.random.default_rng(11)
         checked = 0
-        while checked < 3:
-            p = ProbMatrix(rng.dirichlet(np.ones(3), size=6).T)
-            log_p = np.log(np.clip(p.data, 1e-12, None))
-            values = lp_assignment_values(log_p, [2, 2, 2])
-            if values[0] - values[1] < 0.1:
-                continue
-            cfg = SinkhornConfig(epsilon=0.002, max_iters=50_000, tol=1e-11)
-            with np.errstate(all="ignore"):
-                out = solve_unconditional(p, ClassPrior.uniform(3), cfg)
-            objective = float((out.q.data * log_p).sum())
-            assert objective == pytest.approx(values[0], abs=1e-4)
-            checked += 1
+        with pytest.warns(NoConvergence, match="after 50000 iterations"):
+            while checked < 3:
+                p = ProbMatrix(rng.dirichlet(np.ones(3), size=6).T)
+                log_p = np.log(np.clip(p.data, 1e-12, None))
+                values = lp_assignment_values(log_p, [2, 2, 2])
+                if values[0] - values[1] < 0.1:
+                    continue
+                cfg = SinkhornConfig(epsilon=0.002, max_iters=50_000, tol=1e-11)
+                with np.errstate(all="ignore"):
+                    out = solve_unconditional(p, ClassPrior.uniform(3), cfg)
+                objective = float((out.q.data * log_p).sum())
+                assert objective == pytest.approx(values[0], abs=1e-4)
+                checked += 1
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -259,6 +328,47 @@ class TestConditional:
             p.data[:, 1:], np.array([0.5, 1.5]), epsilon=0.1, iters=10_000
         )
         np.testing.assert_allclose(out.q.data[:, 1:], reference, atol=1e-8)
+
+    def test_sharp_epsilon_matches_unfloored_log_domain_bitwise(self, monkeypatch):
+        # eps 0.02 on sharply peaked predictions (a scaled-down benchmark
+        # solve-b), with class 0 labeled beyond its budget so its residual
+        # target is zero: the solver turns the floor on, and the floored exp
+        # must leave every plan byte as is
+        floors = []
+
+        def recording(*args):
+            floors.append(args[4])
+            return _lse(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse", recording)
+        rng = np.random.default_rng(0)
+        k, n, n_labeled, eps = 12, 300, 80, 0.02
+        truth = rng.integers(0, k, size=n)
+        truth[: n_labeled // 2] = 0
+        logits = 3.0 * rng.standard_normal((k, n))
+        logits[truth, np.arange(n)] += 15.0
+        p = np.exp(logits - logits.max(axis=0))
+        p = ProbMatrix(p / p.sum(axis=0))
+        prior = ClassPrior.uniform(k)
+        labels = truth[:n_labeled]
+        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
+        assert len(floors) == 201 and all(floors)
+
+        residual = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
+        assert residual[0] == 0.0
+        plan, f, g, iters = log_domain_plan(p.data[:, n_labeled:], residual, eps, 100, 0.0)
+        assert out.iters_used == iters == 100
+        got = np.ascontiguousarray(out.q.data[:, n_labeled:])
+        np.testing.assert_array_equal(got.view(np.int64), plan.view(np.int64))
+
+        # the shifted exp arguments of both reductions at the final potentials
+        log_kernel = np.log(np.clip(p.data[:, n_labeled:], 1e-12, None)) / eps
+        rows = log_kernel + g[None, :]
+        cols = log_kernel[1:] + f[1:, None]
+        args = np.concatenate([(rows - rows.max(axis=1, keepdims=True)).ravel(),
+                               (cols - cols.max(axis=0, keepdims=True)).ravel()])
+        assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
+        assert np.mean(args <= -745.0) > 0.3
 
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)
