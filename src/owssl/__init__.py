@@ -27,10 +27,8 @@ from .threshold import (
 )
 from .objectives import (
     LossBreakdown,
-    ce_logit_gradient,
     clustering_loss,
     confidence_loss,
-    cross_entropy,
     supervised_loss,
     total_loss,
 )

@@ -7,14 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    PROB_FLOOR,
-    NonFiniteInput,
-    OwsslError,
-    ShapeMismatch,
-    softmax,
-    _as_float_vector,
-)
+from .core import PROB_FLOOR, OwsslError, ShapeMismatch
 
 
 class NonFiniteComponent(OwsslError):
@@ -30,12 +23,6 @@ class LossBreakdown:
     conf: float
     total: float
     retained_fraction: float = 0.0
-
-
-def cross_entropy(target, pred) -> float:
-    """H(t, p) = -sum t_i log p_i with predictions floored at 1e-12."""
-    t, p = _as_float_vector(target, "target"), _as_float_vector(pred, "pred")
-    return float(_colwise_cross_entropy(t, p))
 
 
 def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -110,14 +97,3 @@ def total_loss(sup: float, cls: float, conf: float, retained_fraction: float = 0
     if not all(np.isfinite(parts)):
         raise NonFiniteComponent(f"non-finite loss component in {parts}")
     return LossBreakdown(sup, cls, conf, sup + cls + conf, retained_fraction)
-
-
-def ce_logit_gradient(target, logits) -> np.ndarray:
-    """Gradient of H(target, softmax(logits)) with respect to the logits."""
-    t = _as_float_vector(target, "target")
-    z = _as_float_vector(logits, "logits")
-    if t.shape != z.shape:
-        raise ShapeMismatch(f"target shape {t.shape} != logits shape {z.shape}")
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteInput("target contains non-finite entries")
-    return softmax(z) - t

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owssl.core import ClassPrior, LabeledBlock, PartitionSpec, ProbMatrix, Rng
+from owssl.core import ClassPrior, LabeledBlock, PartitionSpec, ProbMatrix, Rng, softmax
 from owssl.evaluation import estimate_num_classes, hungarian
 from owssl.harness import (
     HyperParams,
@@ -23,7 +23,7 @@ from owssl.harness import (
     generate_dataset,
     train,
 )
-from owssl.objectives import ce_logit_gradient, cross_entropy
+from owssl.objectives import clustering_loss, confidence_loss, supervised_loss
 from owssl.sinkhorn import SinkhornConfig, solve_conditional, solve_unconditional
 from owssl.theory import (
     PopulationSpec,
@@ -32,7 +32,13 @@ from owssl.theory import (
     monte_carlo_ecs,
     ecs_ordering_condition,
 )
-from owssl.threshold import ThresholdState, hierarchical_threshold, make_pseudo_batch, thresholds
+from owssl.threshold import (
+    PseudoBatch,
+    ThresholdState,
+    hierarchical_threshold,
+    make_pseudo_batch,
+    thresholds,
+)
 
 from make_goldens import build_note
 from oracles import (
@@ -291,24 +297,50 @@ def test_c08_threshold_hierarchy():
 
 
 def test_c09_gradient_check():
+    # the three term gradients `train` descends, each through softmax of its own logits
     rng = np.random.default_rng(109)
-    worst = 0.0
-    for _ in range(1000):
-        target = rng.dirichlet(np.ones(5))
-        logits = rng.normal(scale=2.0, size=5)
-        grad = ce_logit_gradient(target, logits)
+    k, b = 4, 3
+    worst = {"supervised": 0.0, "clustering": 0.0, "confidence": 0.0}
 
-        def loss(z, target=target):
-            from owssl.core import softmax
+    def check(term, loss, logits, grad):
+        def flat(z):
+            return loss(softmax(z.reshape(logits.shape)))
 
-            return cross_entropy(target, softmax(z))
+        reference = central_difference_gradient(flat, logits.ravel(), h=1e-5)
+        worst[term] = max(worst[term], float(np.abs(grad - reference.reshape(logits.shape)).max()))
 
-        reference = central_difference_gradient(loss, logits, h=1e-5)
-        worst = max(worst, float(np.abs(grad - reference).max()))
+    counts = dict.fromkeys(worst, 0)
+    for case in range(1000):
+        term = ("supervised", "clustering", "confidence")[case % 3]
+        counts[term] += 1
+        if term == "supervised":
+            labels = rng.integers(0, k, b)
+            logits = rng.normal(scale=2.0, size=(k, b))
+            _, grad = supervised_loss(labels, softmax(logits))
+            check(term, lambda p: supervised_loss(labels, p)[0], logits, grad)
+        elif term == "clustering":
+            # weak view first, then two local views
+            q = rng.dirichlet(np.ones(k), size=b).T
+            view_logits = [rng.normal(scale=2.0, size=(k, b)) for _ in range(3)]
+            views = [softmax(z) for z in view_logits]
+            _, grads = clustering_loss(q, views)
+            for v, (z, grad) in enumerate(zip(view_logits, grads)):
+                def loss(p, v=v):
+                    return clustering_loss(q, views[:v] + [p] + views[v + 1 :])[0]
+
+                check(term, loss, z, grad)
+        else:
+            mask = rng.random(b) < 0.5
+            mask[:2] = (False, True)  # at least one rejected and one retained column
+            pseudo = PseudoBatch(mask, rng.integers(0, k, b), rng.random(b))
+            logits = rng.normal(scale=2.0, size=(k, b))
+            _, grad = confidence_loss(pseudo, softmax(logits))
+            check(term, lambda p: confidence_loss(pseudo, p)[0], logits, grad)
     report(
         "C9 gradient check",
-        worst <= 1e-6,
-        f"max |analytic - central difference| {worst:.2e} (<=1e-6) on 1000 cases",
+        max(worst.values()) <= 1e-6,
+        "max |analytic - central difference| (<=1e-6) over "
+        + ", ".join(f"{counts[t]} {t} cases {err:.2e}" for t, err in worst.items()),
     )
 
 

@@ -1,0 +1,59 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+FINGERPRINT = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
+
+
+def write_log(path: Path, workload: str, wall: float, trials: float, fingerprint=FINGERPRINT):
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "mc_trials_per_s": {"value": trials, "unit": "trials/s"}}
+    path.write_text("\n".join([
+        "fingerprint " + json.dumps(fingerprint, sort_keys=True),
+        "inputs: solve-b has 0.500 of p**(1/eps) underflowing to 0",
+        f"{workload} seed 7: 12 rounds in 58.1 s, 84 operations, 0 failed",
+        f"  wall_s = {wall:.6g} s",
+        json.dumps({"correct": True, "attempted": 84, "failed": 0, "metrics": metrics}),
+    ]) + "\n")
+    return path
+
+
+def test_medians_quartiles_and_pair_wins(tmp_path):
+    walls = [(2.0, 1.5), (2.2, 1.6), (2.1, 2.3), (1.9, 1.4)]
+    trials = [(500.0, 510.0), (520.0, 500.0), (510.0, 530.0), (505.0, 506.0)]
+    parent, change = [], []
+    for i, ((pw, cw), (pt, ct)) in enumerate(zip(walls, trials)):
+        parent.append(write_log(tmp_path / f"p{i}.log", "train", pw, pt))
+        change.append(write_log(tmp_path / f"c{i}.log", "train", cw, ct))
+    payload = bench_record.record(parent, change)
+    assert payload["fingerprint"] == FINGERPRINT
+    train = payload["workloads"]["train"]
+    assert train["seeds"] == [7] and train["pairs"] == 4
+    assert train["correct"] == {"parent": True, "change": True}
+    wall = train["metrics"]["wall_s"]
+    assert wall["parent_median"] == pytest.approx(2.05)
+    assert wall["change_median"] == pytest.approx(1.55)
+    assert wall["parent_quartiles"] == pytest.approx([1.975, 2.125])
+    assert wall["change_better_pairs"] == 3  # lower is better
+    assert train["metrics"]["mc_trials_per_s"]["change_better_pairs"] == 3  # higher is better
+
+
+def test_mixed_fingerprints_refused(tmp_path):
+    parent = [write_log(tmp_path / "p.log", "solve", 1.0, 1.0)]
+    change = [write_log(tmp_path / "c.log", "solve", 1.0, 1.0, {**FINGERPRINT, "nproc": 4})]
+    with pytest.raises(ValueError, match="fingerprints"):
+        bench_record.record(parent, change)
+
+
+def test_unequal_pairing_refused(tmp_path):
+    parent = [write_log(tmp_path / f"p{i}.log", "solve", 1.0, 1.0) for i in range(2)]
+    change = [write_log(tmp_path / "c.log", "solve", 1.0, 1.0)]
+    with pytest.raises(ValueError, match="2 parent runs against 1 change runs"):
+        bench_record.record(parent, change)

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,7 +106,7 @@ class TestFormats:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy.optimize is imported by the first Hungarian matching, not at start-up
+        # owssl never imports scipy; this guards start-up against a stray import
         result = subprocess.run(
             [sys.executable, "-c", "import sys, owssl.cli; print('scipy' in sys.modules)"],
             capture_output=True,
@@ -112,6 +114,61 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_train_and_eval_leave_scipy_unloaded(self, tmp_path):
+        # both commands run Hungarian matching, the one place that once used scipy
+        script = (
+            "import sys\n"
+            "from owssl.cli import main\n"
+            "argv = sys.argv[1:]\n"
+            "split = argv.index('--')\n"
+            "assert main(argv[:split]) == 0\n"
+            "assert main(argv[split + 1:]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-c", script,
+                "train", "--config", str(GOLDEN / "run_config.json"),
+                "--outdir", str(tmp_path / "train"),
+                "--",
+                "eval",
+                "--pred", str(GOLDEN / "eval" / "pred.csv"),
+                "--truth", str(GOLDEN / "eval" / "truth.csv"),
+                "--k-total", "4",
+                "--seen", "0,1",
+                "--out", str(tmp_path / "metrics.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+        assert (tmp_path / "train" / "runlog.jsonl").is_file()
+        assert (tmp_path / "metrics.json").is_file()
+
+    def test_imports_are_declared_dependencies(self):
+        # a lazy import inside a function counts too: ast sees every statement
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            declared = tomllib.load(fh)["project"]["dependencies"]
+        deps = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in declared}
+        imported = {}
+        for path in sorted((root / "src" / "owssl").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top not in sys.stdlib_module_names and top != "owssl":
+                        imported.setdefault(top, path.name)
+        assert deps == {"numpy"}
+        assert set(imported) <= deps, f"undeclared imports (module: first file): {imported}"
 
 
 class TestExitCodes:

@@ -57,6 +57,41 @@ class TestHungarian:
             assert total == pytest.approx(best, abs=1e-12)
             assert sorted(sigma) == list(range(n))
 
+    def test_matches_scipy_assignment_exactly(self):
+        # tied costs are the common case for negated count tables, so the
+        # assignment itself, not only its total, must be scipy's
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(6)
+
+        def families(n):
+            yield rng.integers(0, 2, (n, n)).astype(float)
+            yield rng.integers(0, 3, (n, n)).astype(float)
+            yield -rng.integers(0, 6, (n, n)).astype(float)
+            yield np.zeros((n, n))
+            yield rng.normal(size=(n, n))
+            # tenths are inexact in binary: ties then hinge on scipy's float expression order
+            yield rng.integers(0, 4, (n, n)) * 0.1
+            table = np.zeros((n, n))
+            np.add.at(table, (rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)), 1.0)
+            yield -table
+
+        checked = 0
+        for _ in range(14):
+            for n in range(1, 25):
+                for cost in families(n):
+                    rows, cols = linear_sum_assignment(cost)
+                    sigma, total = hungarian(cost)
+                    np.testing.assert_array_equal(sigma, cols)
+                    assert np.float64(total).tobytes() == cost[rows, cols].sum().tobytes()
+                    checked += 1
+        assert checked >= 2000
+
+    def test_constant_cost_gives_identity(self):
+        for n in (1, 2, 5, 20):
+            sigma, total = hungarian(np.full((n, n), 7.0))
+            np.testing.assert_array_equal(sigma, np.arange(n))
+            assert total == 7.0 * n
+
     def test_large_instance_is_fast(self):
         rng = np.random.default_rng(1)
         cost = rng.random((200, 200))

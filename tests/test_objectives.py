@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from owssl.core import ShapeMismatch, softmax
 from owssl.objectives import (
     NonFiniteComponent,
-    ce_logit_gradient,
     clustering_loss,
     confidence_loss,
-    cross_entropy,
     supervised_loss,
     total_loss,
 )
@@ -23,24 +21,31 @@ LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
 
 
+def column_cross_entropy(target, pred) -> float:
+    """H(t, p) of one column, through the clustering term with a single view."""
+    t = np.asarray(target, dtype=np.float64)[:, None]
+    p = np.asarray(pred, dtype=np.float64)[:, None]
+    return clustering_loss(t, [p])[0]
+
+
 class TestCrossEntropy:
     def test_perfect_one_hot(self):
-        assert cross_entropy([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert column_cross_entropy([1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_one_hot_vs_uniform(self):
-        assert cross_entropy([1, 0, 0, 0], [0.25] * 4) == pytest.approx(LOG4, abs=1e-12)
+        assert column_cross_entropy([1, 0, 0, 0], [0.25] * 4) == pytest.approx(LOG4, abs=1e-12)
 
     def test_self_entropy_uniform_pair(self):
-        assert cross_entropy([0.5, 0.5], [0.5, 0.5]) == pytest.approx(LOG2, abs=1e-12)
+        assert column_cross_entropy([0.5, 0.5], [0.5, 0.5]) == pytest.approx(LOG2, abs=1e-12)
 
     def test_floor_prevents_infinity(self):
-        value = cross_entropy([1.0, 0.0], [0.0, 1.0])
+        value = column_cross_entropy([1.0, 0.0], [0.0, 1.0])
         assert np.isfinite(value)
         assert value == pytest.approx(-math.log(1e-12))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            cross_entropy([1.0, 0.0], [1.0, 0.0, 0.0])
+            column_cross_entropy([1.0, 0.0], [1.0, 0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -48,8 +53,8 @@ class TestCrossEntropy:
         rng = np.random.default_rng(seed)
         t = rng.dirichlet(np.ones(k))
         p = rng.dirichlet(np.ones(k))
-        entropy = cross_entropy(t, t)
-        assert cross_entropy(t, p) >= entropy - 1e-12
+        entropy = column_cross_entropy(t, t)
+        assert column_cross_entropy(t, p) >= entropy - 1e-12
 
 
 class TestSupervisedLoss:
@@ -229,24 +234,14 @@ class TestTotalLoss:
 
 
 class TestCeLogitGradient:
+    """The clustering term's logit gradient p - q on one column, at known values."""
+
     def test_stationary_at_matching_softmax(self):
-        logits = np.array([0.3, -0.2, 1.1])
-        target = softmax(logits)
-        np.testing.assert_allclose(ce_logit_gradient(target, logits), 0.0, atol=1e-15)
+        probs = softmax(np.array([0.3, -0.2, 1.1]))[:, None]
+        _, (grad,) = clustering_loss(probs.copy(), [probs])
+        np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_one_hot_symmetric_pair(self):
-        grad = ce_logit_gradient([1.0, 0.0], [0.0, 0.0])
-        np.testing.assert_allclose(grad, [-0.5, 0.5], atol=1e-15)
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            target = rng.dirichlet(np.ones(5))
-            logits = rng.normal(size=5)
-
-            def loss(z):
-                return cross_entropy(target, softmax(z))
-
-            grad = ce_logit_gradient(target, logits)
-            reference = central_difference_gradient(loss, logits, h=1e-5)
-            np.testing.assert_allclose(grad, reference, atol=1e-6)
+        q = np.array([[1.0], [0.0]])
+        _, (grad,) = clustering_loss(q, [softmax(np.zeros((2, 1)))])
+        np.testing.assert_allclose(grad[:, 0], [-0.5, 0.5], atol=1e-15)
