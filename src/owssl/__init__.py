@@ -7,7 +7,6 @@ from .core import (
     ProbMatrix,
     Rng,
     softmax,
-    validate_prob_matrix,
 )
 from .sinkhorn import (
     Assignment,
@@ -62,7 +61,6 @@ from .harness import (
     ToyModel,
     estimate_prior_adaptive,
     generate_dataset,
-    run_bias_trajectory,
     train,
 )
 

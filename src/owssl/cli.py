@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import (
     PartitionSpec,
     ProbMatrix,
     Rng,
-    worker_cap,
 )
 from .evaluation import clustering_report
 from .sinkhorn import (
@@ -271,28 +271,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _dataset_config(payload: dict) -> harness.SyntheticConfig:
-    known = {f.name for f in harness.SyntheticConfig.__dataclass_fields__.values()}
-    extra = set(payload) - known
+def _check_fields(payload: dict, cls, section: str) -> None:
+    extra = set(payload) - set(cls.__dataclass_fields__)
     if extra:
-        raise UsageError(f"unknown dataset config fields: {sorted(extra)}")
+        raise UsageError(f"unknown {section} config fields: {sorted(extra)}")
+
+
+def _dataset_config(payload: dict) -> harness.SyntheticConfig:
+    _check_fields(payload, harness.SyntheticConfig, "dataset")
     return harness.SyntheticConfig(**payload)
 
 
 def _hyper_params(payload: dict) -> harness.HyperParams:
     payload = dict(payload)
-    sk = payload.pop("sinkhorn", {})
+    sk = dict(payload.pop("sinkhorn", {}))
     if "inverse_epsilon" in sk:
         sk["epsilon"] = 1.0 / sk.pop("inverse_epsilon")
-    sinkhorn_cfg = SinkhornConfig(
-        epsilon=sk.get("epsilon", 0.1),
-        max_iters=sk.get("max_iters", 10),
-        tol=sk.get("tol", 0.0),
-    )
-    known = {f.name for f in harness.HyperParams.__dataclass_fields__.values()}
-    extra = set(payload) - known
-    if extra:
-        raise UsageError(f"unknown train config fields: {sorted(extra)}")
+    _check_fields(sk, SinkhornConfig, "sinkhorn")
+    sinkhorn_cfg = SinkhornConfig(**sk)
+    _check_fields(payload, harness.HyperParams, "train")
     return harness.HyperParams(sinkhorn=sinkhorn_cfg, **payload)
 
 
@@ -365,55 +362,25 @@ def cmd_train(args) -> int:
         )
         return 0
 
-    def run_variant(job):
-        name, conditional, confidence, hierarchical, seed = job
-        dataset = harness.generate_dataset(
-            harness.SyntheticConfig(**{**data_cfg.__dict__, "seed": seed})
-        )
-        variant = harness.HyperParams(
-            **{
-                **{f: getattr(hyper, f) for f in hyper.__dataclass_fields__},
-                "conditional": conditional,
-                "confidence": confidence,
-                "threshold_policy": "hierarchical" if hierarchical else "static",
-                "seed": seed,
-            }
-        )
-        _, log = harness.train(dataset, variant)
-        return name, seed, log.records[-1]
-
-    jobs = [
-        (name, conditional, confidence, hierarchical, seed)
-        for name, conditional, confidence, hierarchical in _ABLATION_GRID
-        for seed in seeds
-    ]
-    # runs are independent and individually deterministic, so the worker
-    # count (capped by OWSSL_THREADS) cannot change the summary
-    workers = min(worker_cap(), len(jobs))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_variant, jobs))
-    else:
-        results = [run_variant(job) for job in jobs]
-
-    by_name: dict[str, dict[str, list]] = {
-        name: {"seen": [], "novel": [], "all": []} for name, *_ in _ABLATION_GRID
-    }
-    for name, _seed, last in results:
-        by_name[name]["seen"].append(last.acc_seen)
-        by_name[name]["novel"].append(last.acc_novel)
-        by_name[name]["all"].append(last.acc_all)
-    summary = {
-        name: {
-            "seen_mean": float(np.mean(accs["seen"])),
-            "novel_mean": float(np.mean(accs["novel"])),
-            "all_mean": float(np.mean(accs["all"])),
+    summary = {}
+    for name, conditional, confidence, hierarchical in _ABLATION_GRID:
+        finals = []
+        for seed in seeds:
+            dataset = harness.generate_dataset(replace(data_cfg, seed=seed))
+            variant = replace(
+                hyper,
+                conditional=conditional,
+                confidence=confidence,
+                threshold_policy="hierarchical" if hierarchical else "static",
+                seed=seed,
+            )
+            finals.append(harness.train(dataset, variant)[1].records[-1])
+        summary[name] = {
+            "seen_mean": float(np.mean([r.acc_seen for r in finals])),
+            "novel_mean": float(np.mean([r.acc_novel for r in finals])),
+            "all_mean": float(np.mean([r.acc_all for r in finals])),
             "seeds": seeds,
         }
-        for name, accs in by_name.items()
-    }
     conditional_helps = (
         summary["conditional"]["novel_mean"] >= summary["base"]["novel_mean"]
     )

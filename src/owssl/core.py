@@ -116,6 +116,15 @@ class ProbMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
 
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "ProbMatrix":
+        # a float64 K x N array of column distributions that the toolkit
+        # computed itself: frozen in place, neither checked nor copied
+        data.flags.writeable = False
+        pm = object.__new__(cls)
+        object.__setattr__(pm, "data", data)
+        return pm
+
     @property
     def k(self) -> int:
         return self.data.shape[0]
@@ -123,15 +132,6 @@ class ProbMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-
-def validate_prob_matrix(data) -> ProbMatrix:
-    """Validate a K x N array of column distributions.
-
-    Raises NegativeEntry on any entry < 0 and ColumnNotNormalized on any
-    column whose sum deviates from 1 by more than 1e-6.
-    """
-    return ProbMatrix(np.asarray(data, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -235,17 +235,3 @@ def softmax(logits) -> np.ndarray:
         raise NonFiniteInput("logits contain non-finite entries")
     expd = np.exp(z - z.max(axis=0))
     return expd / expd.sum(axis=0)
-
-
-def worker_cap(default: int = 1) -> int:
-    """Worker-count cap from OWSSL_THREADS; defaults to sequential execution."""
-    import os
-
-    raw = os.environ.get("OWSSL_THREADS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

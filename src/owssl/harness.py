@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +41,6 @@ from .threshold import PseudoBatch, ThresholdState, make_pseudo_batch, update_st
 
 
 class InfeasibleSeparation(OwsslError):
-    pass
-
-
-class EpochOutOfRange(OwsslError):
     pass
 
 
@@ -100,7 +95,7 @@ class SyntheticDataset:
     labels: np.ndarray
     partition: PartitionSpec
     labeled: LabeledBlock
-    config: SyntheticConfig | None = None
+    config: SyntheticConfig
 
     @property
     def n(self) -> int:
@@ -189,7 +184,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     n_unlabeled = unlab_idx.size
     partition = PartitionSpec(cfg.k_total, seen, novel, n_labeled, n_unlabeled)
     labeled = LabeledBlock(labels[:n_labeled], seen=seen)
-    return SyntheticDataset(features, labels, partition, labeled, config=cfg)
+    return SyntheticDataset(features, labels, partition, labeled, cfg)
 
 
 def weak_view(x: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
@@ -231,7 +226,7 @@ class ToyModel:
         return self.weights @ (x / self.input_scale).T + self.bias[:, None]
 
     def predict(self, x: np.ndarray) -> ProbMatrix:
-        return ProbMatrix(softmax(self.logits(x)))
+        return ProbMatrix._trusted(softmax(self.logits(x)))
 
 
 class LogitQueue:
@@ -417,33 +412,27 @@ def _solve_queue(
     """Self-labels for the newest `n_batch` queue columns, in insertion order."""
     p_q, tags_q = queue.matrix()
     if not conditional:
-        return solve_unconditional(ProbMatrix(p_q), prior, cfg).q.data[:, -n_batch:]
+        return solve_unconditional(ProbMatrix._trusted(p_q), prior, cfg).q.data[:, -n_batch:]
     order = np.argsort(tags_q < 0, kind="stable")  # labeled first, order preserved
     n_lab = int((tags_q >= 0).sum())
     block = LabeledBlock(tags_q[order[:n_lab]])
-    assignment = solve_conditional(ProbMatrix(np.take(p_q, order, axis=1)), prior, block, cfg)
+    p_sorted = ProbMatrix._trusted(np.take(p_q, order, axis=1))
+    assignment = solve_conditional(p_sorted, prior, block, cfg)
     newest = np.argsort(order)[-n_batch:]  # where the batch's columns went
     return np.take(assignment.q.data, newest, axis=1)
 
 
-def train(dataset: SyntheticDataset, hyper: HyperParams,
-          noise: tuple[float, float] | None = None) -> tuple[ToyModel, RunLog]:
+def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunLog]:
     """Run the full training loop and log per-epoch metrics.
 
-    `noise` overrides the (weak, strong) view sigmas; by default they come
-    from the dataset's generation config, falling back to (0.1, 0.5).
+    The weak and strong view sigmas come from the dataset's generation config.
     """
     part = dataset.partition
     k, dim, n = part.k_total, dataset.dim, dataset.n
     if hyper.queue_capacity < k:
         raise ValueError("queue capacity must be at least the class count")
-    if noise is not None:
-        sigma_weak, sigma_strong = noise
-    elif dataset.config is not None:
-        sigma_weak = dataset.config.weak_noise_sigma
-        sigma_strong = dataset.config.strong_noise_sigma
-    else:
-        sigma_weak, sigma_strong = 0.1, 0.5
+    sigma_weak = dataset.config.weak_noise_sigma
+    sigma_strong = dataset.config.strong_noise_sigma
 
     rng = Rng(hyper.seed)
     gen_batch = rng.derive(1).generator()
@@ -522,7 +511,6 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
             conf = 0.0
             retained = 0.0
             if hyper.confidence:
-                pm_w = ProbMatrix(probs_w)
                 if hyper.threshold_policy == "static":
                     confs = probs_w.max(axis=0)
                     plabels = probs_w.argmax(axis=0)
@@ -530,6 +518,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
                         confs > hyper.static_threshold, plabels, confs
                     )
                 else:
+                    pm_w = ProbMatrix._trusted(probs_w)
                     state = update_state(state, pm_w)
                     pseudo = make_pseudo_batch(state, pm_w)
                 retained = pseudo.retained_fraction
@@ -589,19 +578,3 @@ def train(dataset: SyntheticDataset, hyper: HyperParams,
             prior = estimate_prior_adaptive(prior, probs_full, hyper.prior_momentum)
 
     return model, log
-
-
-def run_bias_trajectory(
-    dataset: SyntheticDataset, hyper: HyperParams, at_epochs: Sequence[int] | None = None
-) -> list[tuple[int, float, float, float]]:
-    """Rows of (epoch, model bias, self-label bias, absolute gap)."""
-    _, log = train(dataset, hyper)
-    by_epoch = {r.epoch: r for r in log.records}
-    epochs = list(at_epochs) if at_epochs is not None else sorted(by_epoch)
-    rows = []
-    for e in epochs:
-        if e not in by_epoch:
-            raise EpochOutOfRange(f"epoch {e} not in the run log (1..{len(log)})")
-        r = by_epoch[e]
-        rows.append((e, r.b_m, r.b_s, r.b_gap))
-    return rows

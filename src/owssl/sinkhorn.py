@@ -22,7 +22,6 @@ from .core import (
     ProbMatrix,
     ShapeMismatch,
     LabelOutOfSeenSet,
-    validate_prob_matrix,
 )
 
 
@@ -226,7 +225,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
         plan, iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg)
         q[:, n_labeled:] = plan
 
-    assignment = validate_prob_matrix(q)
+    assignment = ProbMatrix(q)
     row_err, col_err = marginal_error(assignment, n * prior.probs, np.ones(n))
     converged = n_unlabeled == 0 or solver_err <= cfg.tol
     if cfg.tol > 0 and not converged:

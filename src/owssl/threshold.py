@@ -56,9 +56,6 @@ class ThresholdState:
             partition=partition,
         )
 
-    def eta_of(self, c: int) -> float:
-        return self.eta_seen if self.partition.is_seen[c] else self.eta_novel
-
     def to_dict(self) -> dict:
         return {
             "zeta": [float(z) for z in self.zeta],
@@ -133,32 +130,31 @@ def update_state(state: ThresholdState, probs: ProbMatrix) -> ThresholdState:
     return replace(state, zeta=zeta, eta_seen=eta_seen, eta_novel=eta_novel)
 
 
-def _group_max(state: ThresholdState, members: tuple[int, ...]) -> float:
-    peak = float(state.zeta[list(members)].max())
+def _group_thresholds(state: ThresholdState, members: tuple[int, ...], eta: float) -> np.ndarray:
+    # the rule on one group, in member order
+    zeta = state.zeta[list(members)]
+    peak = float(zeta.max())
     if peak <= 0:
         raise DegenerateGroup("every zeta in the group is zero")
-    return peak
+    return zeta / peak * eta
 
 
 def hierarchical_threshold(state: ThresholdState, c: int) -> float:
     """Threshold for class c: (zeta_c / max zeta in its group) * group eta."""
-    if not (0 <= c < state.partition.k_total):
+    part = state.partition
+    if not (0 <= c < part.k_total):
         raise ValueError(f"class index {c} out of range")
-    members = state.partition.seen if state.partition.is_seen[c] else state.partition.novel
-    return float(state.zeta[c]) / _group_max(state, members) * state.eta_of(c)
+    members, eta = (part.seen, state.eta_seen) if part.is_seen[c] else (part.novel, state.eta_novel)
+    return float(_group_thresholds(state, members, eta)[members.index(c)])
 
 
 def thresholds(state: ThresholdState) -> np.ndarray:
-    """Vector of per-class thresholds (same rule as hierarchical_threshold)."""
-    tau = np.zeros(state.partition.k_total)
-    for members, eta in (
-        (state.partition.seen, state.eta_seen),
-        (state.partition.novel, state.eta_novel),
-    ):
-        if not members:
-            continue
-        idx = list(members)
-        tau[idx] = state.zeta[idx] / _group_max(state, members) * eta
+    """Vector of per-class thresholds: `hierarchical_threshold` of every class."""
+    part = state.partition
+    tau = np.zeros(part.k_total)
+    for members, eta in ((part.seen, state.eta_seen), (part.novel, state.eta_novel)):
+        if members:
+            tau[list(members)] = _group_thresholds(state, members, eta)
     return tau
 
 

@@ -235,6 +235,20 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ") and "class index" in result.stderr
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("section", ["dataset", "train", "sinkhorn"])
+    def test_unknown_config_field_is_usage_error(self, tmp_path, section):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        if section == "sinkhorn":
+            config["train"]["sinkhorn"] = {"epsilon": 0.5, "epsilom": 0.5}
+        else:
+            config[section]["epsilom"] = 0.5
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        result = run_cli(
+            "train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out")
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: unknown {section} config fields: ['epsilom']\n"
+
     def test_eval_length_mismatch(self, tmp_path):
         write_labels(tmp_path / "a.csv", np.array([0, 1]))
         write_labels(tmp_path / "b.csv", np.array([0, 1, 1]))
@@ -355,6 +369,31 @@ class TestGoldenGenDataAndTrain:
             assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes(), (
                 build_note(f"train {name}")
             )
+
+    def test_ablate_averages_final_epochs_over_seeds(self, tmp_path):
+        from dataclasses import replace
+
+        from owssl import cli, harness
+
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config["seeds"] = [11, 12]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path), "--ablate"]
+        assert cli.main(argv) == 0
+        grid = json.loads((tmp_path / "ablation.json").read_text())["grid"]
+        assert sorted(grid) == sorted(name for name, *_ in cli._ABLATION_GRID)
+        data_cfg, hyper, _ = cli._load_run_config(tmp_path / "cfg.json")
+        finals = [
+            harness.train(harness.generate_dataset(replace(data_cfg, seed=seed)),
+                          replace(hyper, seed=seed))[1].records[-1]
+            for seed in (11, 12)
+        ]
+        assert grid["full"] == {
+            "seen_mean": float(np.mean([r.acc_seen for r in finals])),
+            "novel_mean": float(np.mean([r.acc_novel for r in finals])),
+            "all_mean": float(np.mean([r.acc_all for r in finals])),
+            "seeds": [11, 12],
+        }
 
     def test_zero_epochs_writes_header_only_outputs(self, tmp_path):
         config = json.loads((GOLDEN / "run_config.json").read_text())

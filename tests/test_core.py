@@ -15,33 +15,32 @@ from owssl.core import (
     Rng,
     ShapeMismatch,
     softmax,
-    validate_prob_matrix,
 )
 
 
 class TestValidateProbMatrix:
     def test_identity_columns_valid(self):
-        pm = validate_prob_matrix([[1.0, 0.0], [0.0, 1.0]])
+        pm = ProbMatrix([[1.0, 0.0], [0.0, 1.0]])
         assert pm.k == 2 and pm.n == 2
 
     def test_column_sum_violation(self):
         with pytest.raises(ColumnNotNormalized) as err:
-            validate_prob_matrix([[0.5], [0.6]])
+            ProbMatrix([[0.5], [0.6]])
         assert err.value.col == 0
         assert err.value.total == pytest.approx(1.1)
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry) as err:
-            validate_prob_matrix([[-0.1], [1.1]])
+            ProbMatrix([[-0.1], [1.1]])
         assert (err.value.row, err.value.col) == (0, 0)
 
     def test_tolerance_band(self):
-        validate_prob_matrix([[0.5 + 4e-7], [0.5 + 4e-7]])
+        ProbMatrix([[0.5 + 4e-7], [0.5 + 4e-7]])
         with pytest.raises(ColumnNotNormalized):
-            validate_prob_matrix([[0.5 + 2e-6], [0.5]])
+            ProbMatrix([[0.5 + 2e-6], [0.5]])
 
     def test_matrix_is_read_only(self):
-        pm = validate_prob_matrix([[1.0], [0.0]])
+        pm = ProbMatrix([[1.0], [0.0]])
         with pytest.raises(ValueError):
             pm.data[0, 0] = 0.5
 

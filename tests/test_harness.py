@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owssl.core import ClassPrior, LabeledBlock, Rng, ShapeMismatch
+from owssl.core import ClassPrior, LabeledBlock, ProbMatrix, Rng, ShapeMismatch
 from owssl.evaluation import manhattan_bias
 from owssl.harness import (
-    EpochOutOfRange,
     HyperParams,
     InfeasibleSeparation,
     LogitQueue,
@@ -19,7 +18,6 @@ from owssl.harness import (
     estimate_prior_adaptive,
     generate_dataset,
     local_view,
-    run_bias_trajectory,
     self_label_bias,
     strong_view,
     train,
@@ -248,9 +246,7 @@ class TestPriorAdaptation:
     def test_ema_examples(self):
         prior = ClassPrior(np.array([0.5, 0.5]))
         preds_cols = np.array([[0.3, 0.7]] * 4).T
-        from owssl.core import validate_prob_matrix
-
-        preds = validate_prob_matrix(preds_cols)
+        preds = ProbMatrix(preds_cols)
         updated = estimate_prior_adaptive(prior, preds, momentum=0.9)
         np.testing.assert_allclose(updated.probs, [0.48, 0.52], atol=1e-12)
         frozen = estimate_prior_adaptive(prior, preds, momentum=1 - 1e-12)
@@ -287,10 +283,8 @@ class TestSelfLabelBias:
 class TestBiasTrajectory:
     def test_rows_and_epoch_range(self):
         data = generate_dataset(SMALL)
-        rows = run_bias_trajectory(data, small_hyper())
-        assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
-        with pytest.raises(EpochOutOfRange):
-            run_bias_trajectory(data, small_hyper(), at_epochs=[99])
+        _, log = train(data, small_hyper())
+        assert [r.epoch for r in log.records] == [1, 2, 3, 4, 5]
 
     def test_conditional_bias_below_unconditional(self):
         gaps = []
@@ -300,9 +294,67 @@ class TestBiasTrajectory:
                 cluster_separation=8.0, seed=seed,
             )
             data = generate_dataset(cfg)
-            cond = run_bias_trajectory(data, small_hyper(seed=seed))
-            uncond = run_bias_trajectory(data, small_hyper(seed=seed, conditional=False))
-            gaps.append((cond[0][2], uncond[0][2]))
+            _, cond = train(data, small_hyper(seed=seed))
+            _, uncond = train(data, small_hyper(seed=seed, conditional=False))
+            gaps.append((cond.records[0].b_s, uncond.records[0].b_s))
         assert np.mean([c for c, _ in gaps]) <= np.mean([u for _, u in gaps])
         for c, u in gaps:
             assert c <= u
+
+
+class TestValidationBoundary:
+    """Only data from outside is validated; results the toolkit builds are not re-checked."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # each ProbMatrix check, tagged with whether a solve was running, and the solve count
+        from owssl import sinkhorn
+
+        seen = {"checks": [], "solves": 0, "depth": 0}
+        check, solve = ProbMatrix.__post_init__, sinkhorn._solve
+
+        def counted_check(pm):
+            seen["checks"].append((pm, seen["depth"] > 0))
+            check(pm)
+
+        def counted_solve(*args):
+            seen["solves"] += 1
+            seen["depth"] += 1
+            try:
+                return solve(*args)
+            finally:
+                seen["depth"] -= 1
+
+        monkeypatch.setattr(ProbMatrix, "__post_init__", counted_check)
+        monkeypatch.setattr(sinkhorn, "_solve", counted_solve)
+        return seen
+
+    @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
+    @pytest.mark.parametrize("policy", ["hierarchical", "static", "adaptive-global"])
+    def test_train_checks_only_solver_plans(self, seen, conditional, policy):
+        data = generate_dataset(SMALL)
+        train(data, small_hyper(epochs=2, conditional=conditional, threshold_policy=policy,
+                                prior_mode="adaptive"))
+        assert seen["solves"] > 0
+        assert [inside for _, inside in seen["checks"]] == [True] * seen["solves"]
+
+    def test_solve_checks_its_input_once(self, seen):
+        from owssl.sinkhorn import SinkhornConfig, solve_conditional
+
+        p = ProbMatrix(np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
+        out = solve_conditional(p, ClassPrior.uniform(2), LabeledBlock(np.array([0])),
+                                SinkhornConfig.training())
+        # the caller's matrix, then the plan; the input is not checked again
+        assert [(pm is p, inside) for pm, inside in seen["checks"]] == [(True, False), (False, True)]
+        assert seen["checks"][1][0] is out.q
+
+    def test_results_are_read_only(self):
+        from owssl.sinkhorn import SinkhornConfig, solve_unconditional
+
+        p = ProbMatrix(np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
+        q = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig.training()).q
+        pred = ToyModel.zeros(2, 3).predict(np.ones((4, 3)))
+        for data in (q.data, pred.data):
+            assert not data.flags.writeable
+            with pytest.raises(ValueError):
+                data[0, 0] = 0.5
