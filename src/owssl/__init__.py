@@ -25,11 +25,9 @@ from .threshold import (
     update_state,
 )
 from .objectives import (
-    LossBreakdown,
     clustering_loss,
     confidence_loss,
     supervised_loss,
-    total_loss,
 )
 from .theory import (
     EcsReport,

@@ -181,31 +181,18 @@ def _load_json(path) -> dict:
 # subcommands
 
 
-def _sinkhorn_config(args) -> SinkhornConfig:
-    if args.inverse_epsilon is not None:
-        epsilon = 1.0 / args.inverse_epsilon
-    else:
-        epsilon = args.epsilon
-    return SinkhornConfig(epsilon=epsilon, max_iters=args.iters, tol=args.tol)
-
-
 def cmd_solve(args) -> int:
-    for required in (args.input, args.prior):
-        if not Path(required).exists():
-            raise UsageError(f"input file {required} does not exist")
     matrix = read_table(args.input, "class-rows")
     prior = read_prior(args.prior)
     p = ProbMatrix(matrix)
     if p.k != prior.k:
         raise DimensionMismatch(f"matrix has {p.k} classes, prior has {prior.k}")
-    cfg = _sinkhorn_config(args)
+    cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.iters, tol=args.tol)
 
     conditional = args.labels is not None and not args.unconditional
     if args.conditional and args.labels is None:
         raise UsageError("--conditional requires --labels")
     if conditional:
-        if not Path(args.labels).exists():
-            raise UsageError(f"labels file {args.labels} does not exist")
         labels = read_labels(args.labels)
         if labels.size > p.n:
             raise DimensionMismatch(f"{labels.size} labels for {p.n} columns")
@@ -284,9 +271,7 @@ def _dataset_config(payload: dict) -> harness.SyntheticConfig:
 
 def _hyper_params(payload: dict) -> harness.HyperParams:
     payload = dict(payload)
-    sk = dict(payload.pop("sinkhorn", {}))
-    if "inverse_epsilon" in sk:
-        sk["epsilon"] = 1.0 / sk.pop("inverse_epsilon")
+    sk = payload.pop("sinkhorn", {})
     _check_fields(sk, SinkhornConfig, "sinkhorn")
     sinkhorn_cfg = SinkhornConfig(**sk)
     _check_fields(payload, harness.HyperParams, "train")
@@ -313,24 +298,18 @@ def _write_runlog(outdir: Path, log: harness.RunLog) -> None:
     (outdir / "bias.csv").write_text("\n".join(lines) + "\n")
 
 
+# the EpochRecord fields written to plot.csv, one row each per epoch
+_PLOT_METRICS = (
+    "loss_sup", "loss_cls", "loss_conf", "loss_total", "retained_fraction",
+    "acc_seen", "acc_novel", "acc_all", "b_m", "b_s", "b_gap",
+)
+
+
 def _write_plot_data(outdir: Path, log: harness.RunLog) -> None:
     lines = ["epoch,metric,value"]
     for r in log.records:
-        row = r.to_dict()
-        for metric in (
-            "loss_sup",
-            "loss_cls",
-            "loss_conf",
-            "loss_total",
-            "retained_fraction",
-            "acc_seen",
-            "acc_novel",
-            "acc_all",
-            "b_m",
-            "b_s",
-            "b_gap",
-        ):
-            lines.append(f"{r.epoch},{metric},{_fmt(row[metric])}")
+        for metric in _PLOT_METRICS:
+            lines.append(f"{r.epoch},{metric},{_fmt(getattr(r, metric))}")
     (outdir / "plot.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -437,11 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--conditional", action="store_true", help="pin labeled columns")
     mode.add_argument("--unconditional", action="store_true", help="ignore any labels")
-    eps = solve.add_mutually_exclusive_group()
-    eps.add_argument("--epsilon", type=float, default=0.1, help="entropy weight")
-    eps.add_argument(
-        "--inverse-epsilon", type=float, help="inverse temperature; epsilon = 1/value"
-    )
+    solve.add_argument("--epsilon", type=float, default=0.1, help="entropy weight")
     solve.add_argument("--iters", type=int, default=100_000)
     solve.add_argument("--tol", type=float, default=1e-9)
     solve.set_defaults(func=cmd_solve)
@@ -486,18 +461,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UsageError, DimensionMismatch, LengthMismatch, LabelOutOfSeenSet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, UsageError, DimensionMismatch, LengthMismatch, LabelOutOfSeenSet,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OwsslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ self-label solver, and per-epoch bias/accuracy logging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,7 @@ from .core import (
     softmax,
 )
 from .evaluation import clustering_accuracy, manhattan_bias
-from .objectives import (
-    LossBreakdown,
-    clustering_loss,
-    confidence_loss,
-    supervised_loss,
-    total_loss,
-)
+from .objectives import clustering_loss, confidence_loss, supervised_loss
 from .sinkhorn import (
     SinkhornConfig,
     residual_row_marginals,
@@ -278,9 +272,7 @@ class HyperParams:
     learning_rate: float = 0.5
     epochs: int = 50
     batch_size: int = 256
-    sinkhorn: SinkhornConfig = field(
-        default_factory=lambda: SinkhornConfig.training(epsilon=0.5)
-    )
+    sinkhorn: SinkhornConfig = field(default_factory=lambda: SinkhornConfig(epsilon=0.5))
     threshold_momentum: float = 0.9
     local_views: int = 4
     local_mask_fraction: float = 0.5
@@ -314,8 +306,14 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One run-log line: the field names are the JSON keys, in output order."""
+
     epoch: int
-    losses: LossBreakdown
+    loss_sup: float
+    loss_cls: float
+    loss_conf: float
+    loss_total: float
+    retained_fraction: float
     acc_seen: float
     acc_novel: float
     acc_all: float
@@ -323,25 +321,10 @@ class EpochRecord:
     b_s: float
     b_gap: float
     prior_estimate: tuple[float, ...]
-    threshold_snapshot: dict | None
+    thresholds: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_sup": self.losses.sup,
-            "loss_cls": self.losses.cls,
-            "loss_conf": self.losses.conf,
-            "loss_total": self.losses.total,
-            "retained_fraction": self.losses.retained_fraction,
-            "acc_seen": self.acc_seen,
-            "acc_novel": self.acc_novel,
-            "acc_all": self.acc_all,
-            "b_m": self.b_m,
-            "b_s": self.b_s,
-            "b_gap": self.b_gap,
-            "prior_estimate": list(self.prior_estimate),
-            "thresholds": self.threshold_snapshot,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -349,11 +332,6 @@ class RunLog:
     """One record per epoch, in epoch order."""
 
     records: list[EpochRecord] = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        if self.records and record.epoch != self.records[-1].epoch + 1:
-            raise ValueError("epoch indices must be consecutive")
-        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -551,16 +529,17 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
         else:
             b_s = self_label_bias(dataset.labels[part.n_labeled :], prior, None)
 
-        losses = total_loss(
-            sums["sup"] / n_batches,
-            sums["cls"] / n_batches,
-            sums["conf"] / n_batches,
-            retained_fraction=sums["retained"] / n_batches,
-        )
-        log.append(
+        loss_sup = sums["sup"] / n_batches
+        loss_cls = sums["cls"] / n_batches
+        loss_conf = sums["conf"] / n_batches
+        log.records.append(
             EpochRecord(
                 epoch=epoch,
-                losses=losses,
+                loss_sup=loss_sup,
+                loss_cls=loss_cls,
+                loss_conf=loss_conf,
+                loss_total=loss_sup + loss_cls + loss_conf,
+                retained_fraction=sums["retained"] / n_batches,
                 acc_seen=clustering_accuracy(pred_hard, dataset.labels, "seen", part),
                 acc_novel=clustering_accuracy(pred_hard, dataset.labels, "novel", part),
                 acc_all=clustering_accuracy(pred_hard, dataset.labels, "all", part),
@@ -568,7 +547,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
                 b_s=b_s,
                 b_gap=abs(b_m - b_s),
                 prior_estimate=tuple(float(p) for p in prior.probs),
-                threshold_snapshot=(
+                thresholds=(
                     state.to_dict() if hyper.confidence and hyper.threshold_policy != "static" else None
                 ),
             )

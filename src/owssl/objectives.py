@@ -2,27 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PROB_FLOOR, OwsslError, ShapeMismatch
-
-
-class NonFiniteComponent(OwsslError):
-    pass
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-term losses; `total` is their exact sum."""
-
-    sup: float
-    cls: float
-    conf: float
-    total: float
-    retained_fraction: float = 0.0
+from .core import PROB_FLOOR, ShapeMismatch
 
 
 def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -88,12 +72,3 @@ def confidence_loss(pseudo, probs: np.ndarray) -> tuple[float, np.ndarray]:
     grad[pseudo.labels, cols] -= 1.0
     grad *= pseudo.mask / n
     return float((losses * pseudo.mask).sum() / n), grad
-
-
-def total_loss(sup: float, cls: float, conf: float, retained_fraction: float = 0.0
-               ) -> LossBreakdown:
-    """Combine the three terms into their plain sum."""
-    parts = (sup, cls, conf)
-    if not all(np.isfinite(parts)):
-        raise NonFiniteComponent(f"non-finite loss component in {parts}")
-    return LossBreakdown(sup, cls, conf, sup + cls + conf, retained_fraction)

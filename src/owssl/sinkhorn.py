@@ -43,8 +43,9 @@ class SinkhornConfig:
 
     `epsilon` multiplies the entropy term; larger values smooth the
     assignment toward the row-marginal distribution. `tol` = 0 runs a fixed
-    number of iterations (training profile); a positive `tol` early-stops
-    once the L1 row-marginal error falls below it.
+    number of iterations; a positive `tol` early-stops once the L1
+    row-marginal error falls below it. The defaults, 10 iterations without
+    an early stop, are the training profile.
     """
 
     epsilon: float = 0.1
@@ -58,11 +59,6 @@ class SinkhornConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
-
-    @classmethod
-    def training(cls, epsilon: float = 0.1) -> "SinkhornConfig":
-        # 10 fixed iterations, no early stop
-        return cls(epsilon=epsilon, max_iters=10, tol=0.0)
 
     @classmethod
     def verification(cls, epsilon: float = 0.1, tol: float = 1e-9) -> "SinkhornConfig":

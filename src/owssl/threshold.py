@@ -64,17 +64,6 @@ class ThresholdState:
             "momentum": float(self.momentum),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict, partition: PartitionSpec) -> "ThresholdState":
-        """Rebuild a snapshot written by `to_dict` (run-log resumability)."""
-        return cls(
-            zeta=np.asarray(payload["zeta"], dtype=np.float64),
-            eta_seen=payload["eta_seen"],
-            eta_novel=payload["eta_novel"],
-            momentum=payload["momentum"],
-            partition=partition,
-        )
-
 
 @dataclass(frozen=True)
 class PseudoBatch:

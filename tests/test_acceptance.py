@@ -86,7 +86,7 @@ def test_c01_sinkhorn_feasibility():
         worst_converged = max(
             worst_converged, converged.row_marginal_err, converged.col_marginal_err
         )
-        fixed = solve_unconditional(p, prior, SinkhornConfig.training(epsilon=eps))
+        fixed = solve_unconditional(p, prior, SinkhornConfig(epsilon=eps))
         worst_fixed = max(worst_fixed, fixed.row_marginal_err, fixed.col_marginal_err)
     elapsed = time.perf_counter() - start
     report(

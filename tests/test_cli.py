@@ -184,14 +184,37 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_missing_file_is_usage_error(self, tmp_path):
-        result = run_cli(
+        inputs = {name: str(GOLDEN / "solve" / f"{name}.csv") for name in ("p", "prior", "labels")}
+        for missing, flag in (("p", "--input"), ("prior", "--prior"), ("labels", "--labels")):
+            paths = dict(inputs, **{missing: str(tmp_path / "nope.csv")})
+            result = run_cli(
+                "solve",
+                "--input", paths["p"],
+                "--prior", paths["prior"],
+                "--labels", paths["labels"],
+                "--out", str(tmp_path / "q.csv"),
+                "--report", str(tmp_path / "r.json"),
+            )
+            assert result.returncode == 2, flag
+            assert "nope.csv" in result.stderr and "Traceback" not in result.stderr, flag
+
+    def test_removed_epsilon_spellings_are_usage_errors(self, tmp_path):
+        # epsilon has one spelling; the inverse one is refused, not divided by
+        solve = run_cli(
             "solve",
-            "--input", str(tmp_path / "nope.csv"),
+            "--input", str(GOLDEN / "solve" / "p.csv"),
             "--prior", str(GOLDEN / "solve" / "prior.csv"),
             "--out", str(tmp_path / "q.csv"),
             "--report", str(tmp_path / "r.json"),
+            "--inverse-epsilon", "0",
         )
-        assert result.returncode == 2
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config["train"]["sinkhorn"] = {"inverse_epsilon": 0}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        train = run_cli("train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path))
+        for result in (solve, train):
+            assert result.returncode == 2
+            assert "error: " in result.stderr and "Traceback" not in result.stderr
 
     def test_inconsistent_stated_prior_is_usage_error(self, tmp_path):
         result = run_cli(
@@ -294,21 +317,6 @@ class TestGoldenSolve:
         )
         np.testing.assert_allclose(q[:, 1:], reference, atol=1e-8)
 
-    def test_inverse_epsilon_flag_matches(self, tmp_path):
-        result = run_cli(
-            "solve",
-            "--input", str(GOLDEN / "solve" / "p.csv"),
-            "--prior", str(GOLDEN / "solve" / "prior.csv"),
-            "--labels", str(GOLDEN / "solve" / "labels.csv"),
-            "--out", str(tmp_path / "q.csv"),
-            "--report", str(tmp_path / "report.json"),
-            "--inverse-epsilon", "10",
-        )
-        assert result.returncode == 0
-        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes(), (
-            build_note("solve q.csv")
-        )
-
 
 class TestGoldenTheory:
     def test_reproduces_golden_modulo_elapsed(self, tmp_path):
@@ -369,6 +377,20 @@ class TestGoldenGenDataAndTrain:
             assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes(), (
                 build_note(f"train {name}")
             )
+
+    def test_runlog_keys_are_epoch_record_fields(self):
+        from dataclasses import fields
+
+        from owssl import cli, harness
+
+        names = {f.name for f in fields(harness.EpochRecord)}
+        lines = (GOLDEN / "train" / "runlog.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            assert set(json.loads(line)) == names
+        plotted = {row.split(",")[1] for row in
+                   (GOLDEN / "train" / "plot.csv").read_text().splitlines()[1:]}
+        assert plotted == set(cli._PLOT_METRICS) and plotted <= names
 
     def test_ablate_averages_final_epochs_over_seeds(self, tmp_path):
         from dataclasses import replace

@@ -228,7 +228,7 @@ class TestTrain:
         data = generate_dataset(SMALL)
         _, log = train(data, small_hyper())
         for r in log.records:
-            assert r.losses.total == r.losses.sup + r.losses.cls + r.losses.conf
+            assert r.loss_total == r.loss_sup + r.loss_cls + r.loss_conf
 
     def test_queue_capacity_guard(self):
         data = generate_dataset(SMALL)
@@ -343,7 +343,7 @@ class TestValidationBoundary:
 
         p = ProbMatrix(np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
         out = solve_conditional(p, ClassPrior.uniform(2), LabeledBlock(np.array([0])),
-                                SinkhornConfig.training())
+                                SinkhornConfig())
         # the caller's matrix, then the plan; the input is not checked again
         assert [(pm is p, inside) for pm, inside in seen["checks"]] == [(True, False), (False, True)]
         assert seen["checks"][1][0] is out.q
@@ -352,7 +352,7 @@ class TestValidationBoundary:
         from owssl.sinkhorn import SinkhornConfig, solve_unconditional
 
         p = ProbMatrix(np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
-        q = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig.training()).q
+        q = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig()).q
         pred = ToyModel.zeros(2, 3).predict(np.ones((4, 3)))
         for data in (q.data, pred.data):
             assert not data.flags.writeable

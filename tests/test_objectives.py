@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owssl.core import ShapeMismatch, softmax
-from owssl.objectives import (
-    NonFiniteComponent,
-    clustering_loss,
-    confidence_loss,
-    supervised_loss,
-    total_loss,
-)
+from owssl.objectives import clustering_loss, confidence_loss, supervised_loss
 from owssl.threshold import PseudoBatch
 
 from oracles import central_difference_gradient
@@ -213,24 +207,6 @@ class TestTermGradients:
         _, grad = confidence_loss(pseudo, softmax(logits))
         assert not grad[:, ~mask].any()
         self.check(lambda p: confidence_loss(pseudo, p)[0], logits, grad)
-
-
-class TestTotalLoss:
-    def test_zero(self):
-        assert total_loss(0.0, 0.0, 0.0).total == 0.0
-
-    def test_sum(self):
-        out = total_loss(0.3, 0.5, 0.2, retained_fraction=0.75)
-        assert out.total == pytest.approx(1.0, abs=1e-15)
-        assert out.total == out.sup + out.cls + out.conf
-        assert out.retained_fraction == 0.75
-
-    def test_single_term(self):
-        assert total_loss(1.0, 0.0, 0.0).total == 1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteComponent):
-            total_loss(np.nan, 0.0, 0.0)
 
 
 class TestCeLogitGradient:

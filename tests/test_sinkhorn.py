@@ -41,8 +41,8 @@ class TestConfig:
             SinkhornConfig(epsilon=0.1, tol=-1.0)
 
     def test_profiles(self):
-        assert SinkhornConfig.training().max_iters == 10
-        assert SinkhornConfig.training().tol == 0.0
+        assert SinkhornConfig().max_iters == 10
+        assert SinkhornConfig().tol == 0.0
         assert SinkhornConfig.verification().tol == 1e-9
 
 
@@ -154,7 +154,7 @@ class TestMarginalError:
 class TestUnconditional:
     def test_uniform_fixed_point(self):
         p = ProbMatrix(np.full((2, 4), 0.5))
-        out = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig.training())
+        out = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig())
         np.testing.assert_allclose(out.q.data, 0.5, atol=1e-12)
         assert out.row_marginal_err == pytest.approx(0.0, abs=1e-12)
         assert out.col_marginal_err == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +180,7 @@ class TestUnconditional:
     def test_degenerate_prior_rejected(self):
         p = ProbMatrix(np.full((2, 2), 0.5))
         with pytest.raises(DegeneratePrior):
-            solve_unconditional(p, ClassPrior(np.array([1.0, 0.0])), SinkhornConfig.training())
+            solve_unconditional(p, ClassPrior(np.array([1.0, 0.0])), SinkhornConfig())
 
     def test_no_convergence_warning_and_fields(self):
         p = ProbMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
@@ -278,7 +278,7 @@ class TestConditional:
         rng = np.random.default_rng(1)
         p, prior = random_instance(rng, 3, 6)
         labels = np.array([0, 1, 2, 0, 1, 2])
-        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig.training())
+        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig())
         expected = np.zeros((3, 6))
         expected[labels, np.arange(6)] = 1.0
         np.testing.assert_array_equal(out.q.data, expected)
@@ -303,9 +303,9 @@ class TestConditional:
         p = ProbMatrix(np.full((3, 6), 1 / 3))
         prior = ClassPrior.uniform(3)
         block = LabeledBlock(np.array(labels, dtype=int))
-        out = solve_conditional(p, prior, block, SinkhornConfig.training())
+        out = solve_conditional(p, prior, block, SinkhornConfig())
         assert out.residual_clamped is clamped
-        assert solve_unconditional(p, prior, SinkhornConfig.training()).residual_clamped is False
+        assert solve_unconditional(p, prior, SinkhornConfig()).residual_clamped is False
 
     def test_labeled_columns_exact_zero_deviation(self):
         rng = np.random.default_rng(3)

@@ -198,11 +198,3 @@ class TestHierarchyProperties:
         state = ThresholdState(np.full(4, 0.6), 0.45, 0.1, 0.9, part)
         tau = thresholds(state)
         np.testing.assert_allclose(tau, 0.45)
-
-    def test_snapshot_round_trip(self):
-        state = state_with([0.2, 0.9, 0.4, 0.7], eta_seen=0.8, eta_novel=0.3)
-        back = ThresholdState.from_dict(state.to_dict(), state.partition)
-        np.testing.assert_array_equal(back.zeta, state.zeta)
-        assert back.eta_seen == state.eta_seen
-        assert back.eta_novel == state.eta_novel
-        assert back.momentum == state.momentum
