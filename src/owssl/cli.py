@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,18 @@ import numpy as np
 from . import harness
 from .core import (
     ClassPrior,
+    ColumnNotNormalized,
     LabeledBlock,
     LabelOutOfSeenSet,
+    NegativeEntry,
+    NonFiniteInput,
     OwsslError,
     PartitionSpec,
     ProbMatrix,
     Rng,
+    ShapeMismatch,
 )
-from .evaluation import clustering_report
+from .evaluation import IndexOutOfRange, clustering_report
 from .sinkhorn import (
     SinkhornConfig,
     solve_conditional,
@@ -43,14 +47,6 @@ class ParseError(OwsslError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{path}:{line}: {message}")
-
-
-class DimensionMismatch(OwsslError):
-    pass
-
-
-class LengthMismatch(OwsslError):
-    pass
 
 
 class UsageError(OwsslError):
@@ -79,91 +75,53 @@ def _parse_header(path, line: str, expected_layout: str) -> dict:
     return fields
 
 
-# header keys of each table layout: (row count, column count)
-_TABLE_DIMS = {"class-rows": ("k", "n"), "sample-rows": ("n", "d")}
+# each layout: (row-count header key, or None for one row; column-count key;
+# value type; header trailer)
+_LAYOUTS = {
+    "class-rows": ("k", "n", float, ""),
+    "sample-rows": ("n", "d", float, ""),
+    "prior": (None, "k", float, ""),
+    "labels": (None, "n", int, " indexing=0-based"),
+}
 
 
-def write_table(path, data: np.ndarray, layout: str) -> None:
-    """Write a 2-D float table, one row per line: K x N class rows or N x D sample rows."""
-    data = np.asarray(data, dtype=np.float64)
-    rows_key, cols_key = _TABLE_DIMS[layout]
-    lines = [f"# {rows_key}={data.shape[0]} {cols_key}={data.shape[1]} layout={layout}"]
+def write_table(path, data, layout: str) -> None:
+    """Write a table, one row per line: K x N class rows, N x D sample rows,
+    or the single row of a prior (K floats) or of labels (N ints)."""
+    rows_key, cols_key, kind, trailer = _LAYOUTS[layout]
+    data = np.atleast_2d(np.asarray(data, dtype=kind))
+    dims = f"{rows_key}={data.shape[0]} " if rows_key else ""
+    lines = [f"# {dims}{cols_key}={data.shape[1]} layout={layout}{trailer}"]
     lines.extend(",".join(map(repr, row)) for row in data.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_table(path, layout: str) -> np.ndarray:
-    """Read a table written by `write_table`, checking its layout and dimensions."""
+    """Read a table written by `write_table` as a 2-D array (one row for a prior
+    or labels), checking its layout, its line count and each line's values."""
+    rows_key, cols_key, kind, _ = _LAYOUTS[layout]
     text = Path(path).read_text().splitlines()
     if not text:
         raise ParseError(path, 1, "empty file")
     fields = _parse_header(path, text[0], layout)
-    rows_key, cols_key = _TABLE_DIMS[layout]
     try:
-        n_rows, n_cols = int(fields[rows_key]), int(fields[cols_key])
+        n_rows = int(fields[rows_key]) if rows_key else 1
+        n_cols = int(fields[cols_key])
     except (KeyError, ValueError) as exc:
-        raise ParseError(path, 1, f"bad {rows_key}/{cols_key} in header: {exc}") from exc
+        keys = f"{rows_key}/{cols_key}" if rows_key else cols_key
+        raise ParseError(path, 1, f"bad {keys} in header: {exc}") from exc
     if len(text) - 1 != n_rows:
         raise ParseError(path, len(text), f"expected {n_rows} rows, found {len(text) - 1}")
     rows = []
     for i, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
+        parts = line.split(",") if line else []
         if len(parts) != n_cols:
             raise ParseError(path, i, f"expected {n_cols} columns, found {len(parts)}")
         try:
-            rows.append([float(v) for v in parts])
+            rows.append([kind(v) for v in parts])
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from exc
-    return np.asarray(rows, dtype=np.float64)
-
-
-def write_prior(path, prior: ClassPrior) -> None:
-    lines = [f"# k={prior.k} layout=prior", ",".join(_fmt(v) for v in prior.probs)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_prior(path) -> ClassPrior:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ParseError(path, 1, "empty file")
-    fields = _parse_header(path, text[0], "prior")
-    if len(text) < 2:
-        raise ParseError(path, 2, "missing prior values")
-    try:
-        values = [float(v) for v in text[1].split(",")]
-    except ValueError as exc:
-        raise ParseError(path, 2, str(exc)) from exc
-    if "k" in fields and int(fields["k"]) != len(values):
-        raise ParseError(path, 2, f"header says k={fields['k']}, found {len(values)} values")
-    try:
-        return ClassPrior.normalized(values)
-    except ValueError as exc:
-        raise ParseError(path, 2, str(exc)) from exc
-
-
-def write_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
-    lines = [f"# n={labels.size} layout=labels indexing=0-based"]
-    lines.append(",".join(str(int(v)) for v in labels) if labels.size else "")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_labels(path) -> np.ndarray:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ParseError(path, 1, "empty file")
-    fields = _parse_header(path, text[0], "labels")
-    body = text[1] if len(text) > 1 else ""
-    if body.strip() == "":
-        values = np.empty(0, dtype=np.int64)
-    else:
-        try:
-            values = np.asarray([int(v) for v in body.split(",")], dtype=np.int64)
-        except ValueError as exc:
-            raise ParseError(path, 2, str(exc)) from exc
-    if "n" in fields and int(fields["n"]) != values.size:
-        raise ParseError(path, 2, f"header says n={fields['n']}, found {values.size} values")
-    return values
+    return np.asarray(rows, dtype=kind)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -182,21 +140,16 @@ def _load_json(path) -> dict:
 
 
 def cmd_solve(args) -> int:
-    matrix = read_table(args.input, "class-rows")
-    prior = read_prior(args.prior)
-    p = ProbMatrix(matrix)
-    if p.k != prior.k:
-        raise DimensionMismatch(f"matrix has {p.k} classes, prior has {prior.k}")
+    p = ProbMatrix(read_table(args.input, "class-rows"))
+    prior = ClassPrior.normalized(read_table(args.prior, "prior")[0])
     cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.iters, tol=args.tol)
 
     conditional = args.labels is not None and not args.unconditional
     if args.conditional and args.labels is None:
         raise UsageError("--conditional requires --labels")
     if conditional:
-        labels = read_labels(args.labels)
-        if labels.size > p.n:
-            raise DimensionMismatch(f"{labels.size} labels for {p.n} columns")
-        assignment = solve_conditional(p, prior, LabeledBlock(labels), cfg)
+        labeled = LabeledBlock(read_table(args.labels, "labels")[0])
+        assignment = solve_conditional(p, prior, labeled, cfg)
     else:
         assignment = solve_unconditional(p, prior, cfg)
 
@@ -227,8 +180,6 @@ def _vector_arg(raw: str, name: str) -> list[float]:
 def cmd_theory(args) -> int:
     pl = ClassPrior.normalized(_vector_arg(args.prior_labeled, "prior-labeled"))
     pu = ClassPrior.normalized(_vector_arg(args.prior_unlabeled, "prior-unlabeled"))
-    if pl.k != pu.k:
-        raise UsageError("labeled and unlabeled priors must have the same length")
     spec = PopulationSpec(pl, pu, args.n_labeled, args.n_unlabeled)
     if args.prior is not None:
         stated = np.asarray(_vector_arg(args.prior, "prior"))
@@ -245,10 +196,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = read_labels(args.pred)
-    truth = read_labels(args.truth)
-    if pred.size != truth.size:
-        raise LengthMismatch(f"{pred.size} predictions vs {truth.size} truth labels")
+    pred = read_table(args.pred, "labels")[0]
+    truth = read_table(args.truth, "labels")[0]
     seen = tuple(int(v) for v in args.seen.split(",")) if args.seen else ()
     novel = tuple(c for c in range(args.k_total) if c not in set(seen))
     n_labeled = max(args.n_labeled, 0)
@@ -258,10 +207,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_fields(payload: dict, cls, section: str) -> None:
-    extra = set(payload) - set(cls.__dataclass_fields__)
+# the JSON types accepted for each config field annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "SinkhornConfig": dict}
+
+
+def _check_fields(payload, cls, section: str) -> None:
+    if not isinstance(payload, dict):
+        raise UsageError(f"{section} config must be an object")
+    fields = cls.__dataclass_fields__
+    extra = set(payload) - set(fields)
     if extra:
         raise UsageError(f"unknown {section} config fields: {sorted(extra)}")
+    missing = [name for name, f in fields.items()
+               if name not in payload and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise UsageError(f"missing {section} config fields: {missing}")
+    for name, value in payload.items():
+        kind = fields[name].type
+        # bool subclasses int: only a bool fills a bool field, and a bool fills no other
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+            raise UsageError(f"{section} config field {name!r} must be {kind}, got {value!r}")
 
 
 def _dataset_config(payload: dict) -> harness.SyntheticConfig:
@@ -270,21 +235,28 @@ def _dataset_config(payload: dict) -> harness.SyntheticConfig:
 
 
 def _hyper_params(payload: dict) -> harness.HyperParams:
-    payload = dict(payload)
-    sk = payload.pop("sinkhorn", {})
-    _check_fields(sk, SinkhornConfig, "sinkhorn")
-    sinkhorn_cfg = SinkhornConfig(**sk)
     _check_fields(payload, harness.HyperParams, "train")
-    return harness.HyperParams(sinkhorn=sinkhorn_cfg, **payload)
+    sk = payload.get("sinkhorn", {})
+    _check_fields(sk, SinkhornConfig, "sinkhorn")
+    return harness.HyperParams(**{**payload, "sinkhorn": SinkhornConfig(**sk)})
+
+
+def _load_config(path) -> dict:
+    payload = _load_json(path)
+    if not isinstance(payload, dict):
+        raise UsageError(f"{path}: run config must be a JSON object")
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        raise UsageError(f"unsupported schema_version {payload.get('schema_version')!r}")
+    return payload
 
 
 def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams, list[int]]:
-    payload = _load_json(path)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(f"unsupported schema_version {payload.get('schema_version')!r}")
+    payload = _load_config(path)
     data_cfg = _dataset_config(payload.get("dataset", {}))
     hyper = _hyper_params(payload.get("train", {}))
-    seeds = [int(s) for s in payload.get("seeds", [hyper.seed])]
+    seeds = payload.get("seeds", [hyper.seed])
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
+        raise UsageError(f"config field 'seeds' must be a list of int, got {seeds!r}")
     return data_cfg, hyper, seeds
 
 
@@ -375,16 +347,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    payload = _load_json(args.config)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    cfg = _dataset_config(payload.get("dataset", {}))
+    cfg = _dataset_config(_load_config(args.config).get("dataset", {}))
     dataset = harness.generate_dataset(cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_table(outdir / "features.csv", dataset.features, "sample-rows")
-    write_labels(outdir / "labels.csv", dataset.labels)
-    write_labels(outdir / "labeled.csv", dataset.labeled.labels)
+    write_table(outdir / "labels.csv", dataset.labels, "labels")
+    write_table(outdir / "labeled.csv", dataset.labeled.labels, "labels")
     _write_json(
         outdir / "partition.json",
         {
@@ -456,13 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit 2: the input failed a check where it entered the toolkit
+_INPUT_ERRORS = (
+    ParseError, UsageError, FileNotFoundError, ValueError, ShapeMismatch, NonFiniteInput,
+    NegativeEntry, ColumnNotNormalized, LabelOutOfSeenSet, IndexOutOfRange,
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UsageError, DimensionMismatch, LengthMismatch, LabelOutOfSeenSet,
-            FileNotFoundError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OwsslError as exc:

@@ -169,7 +169,6 @@ class LabeledBlock:
     """Ground-truth class indices for the labeled samples, in column order."""
 
     labels: np.ndarray
-    seen: tuple[int, ...] | None = None
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -177,12 +176,6 @@ class LabeledBlock:
             raise ShapeMismatch("labels must be a 1-D vector of class indices")
         if labels.size and labels.min() < 0:
             raise LabelOutOfSeenSet("negative class index in labeled block")
-        if self.seen is not None:
-            allowed = frozenset(int(c) for c in self.seen)
-            outside = [int(c) for c in labels if int(c) not in allowed]
-            if outside:
-                raise LabelOutOfSeenSet(f"labels {outside[:5]} not in the seen set")
-            object.__setattr__(self, "seen", tuple(sorted(allowed)))
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 

@@ -177,7 +177,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     n_labeled = lab_idx.size
     n_unlabeled = unlab_idx.size
     partition = PartitionSpec(cfg.k_total, seen, novel, n_labeled, n_unlabeled)
-    labeled = LabeledBlock(labels[:n_labeled], seen=seen)
+    labeled = LabeledBlock(labels[:n_labeled])
     return SyntheticDataset(features, labels, partition, labeled, cfg)
 
 

@@ -63,7 +63,7 @@ def cli(*args: str, cwd=None) -> None:
 
 
 def main() -> None:
-    from owssl.cli import write_labels, write_prior, write_table
+    from owssl.cli import write_table
     from owssl.core import ClassPrior
 
     GOLDEN.mkdir(exist_ok=True)
@@ -72,8 +72,8 @@ def main() -> None:
     solve = GOLDEN / "solve"
     solve.mkdir(exist_ok=True)
     write_table(solve / "p.csv", np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]), "class-rows")
-    write_prior(solve / "prior.csv", ClassPrior.uniform(2))
-    write_labels(solve / "labels.csv", np.array([0]))
+    write_table(solve / "prior.csv", ClassPrior.uniform(2).probs, "prior")
+    write_table(solve / "labels.csv", [0], "labels")
     cli(
         "solve",
         "--input", str(solve / "p.csv"),
@@ -124,8 +124,8 @@ def main() -> None:
     # eval: fixture with a permuted novel pair
     ev = GOLDEN / "eval"
     ev.mkdir(exist_ok=True)
-    write_labels(ev / "truth.csv", np.array([0, 0, 1, 1, 2, 2, 3, 3]))
-    write_labels(ev / "pred.csv", np.array([0, 0, 1, 1, 3, 3, 2, 2]))
+    write_table(ev / "truth.csv", [0, 0, 1, 1, 2, 2, 3, 3], "labels")
+    write_table(ev / "pred.csv", [0, 0, 1, 1, 3, 3, 2, 2], "labels")
     cli(
         "eval",
         "--pred", str(ev / "pred.csv"),

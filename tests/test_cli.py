@@ -8,15 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owssl.cli import (
-    ParseError,
-    read_labels,
-    read_prior,
-    read_table,
-    write_labels,
-    write_prior,
-    write_table,
-)
+from owssl.cli import ParseError, read_table, write_table
 from owssl.core import ClassPrior
 
 from make_goldens import build_note
@@ -55,14 +47,19 @@ class TestFormats:
     def test_prior_roundtrip(self, tmp_path):
         prior = ClassPrior(np.array([0.25, 0.375, 0.375]))
         path = tmp_path / "prior.csv"
-        write_prior(path, prior)
-        assert read_prior(path).probs.tobytes() == prior.probs.tobytes()
+        write_table(path, prior.probs, "prior")
+        assert path.read_text() == "# k=3 layout=prior\n0.25,0.375,0.375\n"
+        back = ClassPrior.normalized(read_table(path, "prior")[0])
+        assert back.probs.tobytes() == prior.probs.tobytes()
 
     def test_labels_roundtrip_including_empty(self, tmp_path):
         for labels in (np.array([3, 1, 4, 1, 5]), np.empty(0, dtype=np.int64)):
             path = tmp_path / "labels.csv"
-            write_labels(path, labels)
-            np.testing.assert_array_equal(read_labels(path), labels)
+            write_table(path, labels, "labels")
+            assert path.read_text().startswith(f"# n={labels.size} layout=labels indexing=0-based\n")
+            back = read_table(path, "labels")
+            assert back.dtype == np.int64 and back.shape == (1, labels.size)
+            np.testing.assert_array_equal(back[0], labels)
 
     def test_features_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -86,6 +83,10 @@ class TestFormats:
             ("sample-rows", "# n=x d=2 layout=sample-rows\n", 1, "bad n/d in header"),
             ("class-rows", "# k=2 n=1 layout=class-rows\n1.0\n", 2, "expected 2 rows, found 1"),
             ("sample-rows", "# n=2 d=3 layout=sample-rows\n1,2,3\n1,2\n", 3,
+             "expected 3 columns, found 2"),
+            ("prior", "# k=2 layout=prior\n0.5,0.5\n0.5,0.5\n", 3, "expected 1 rows, found 2"),
+            ("prior", "# layout=prior\n0.5,0.5\n", 1, "bad k in header: 'k'"),
+            ("labels", "# n=3 layout=labels indexing=0-based\n0,1\n", 2,
              "expected 3 columns, found 2"),
         ],
     )
@@ -229,6 +230,18 @@ class TestExitCodes:
         )
         assert result.returncode == 2
 
+    def test_priors_of_different_length_are_usage_error(self, tmp_path):
+        result = run_cli(
+            "theory",
+            "--prior-labeled", "0.5,0.5",
+            "--prior-unlabeled", "0.2,0.3,0.5",
+            "--n-labeled", "20",
+            "--n-unlabeled", "100",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: labeled and unlabeled priors must share K\n"
+
     def test_degenerate_prior_is_computation_failure(self, tmp_path):
         write_table(tmp_path / "p.csv", np.full((2, 2), 0.5), "class-rows")
         (tmp_path / "prior.csv").write_text("# k=2 layout=prior\n1.0,0.0\n")
@@ -244,8 +257,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "k"])
     def test_label_outside_classes_is_usage_error(self, tmp_path, label):
         write_table(tmp_path / "p.csv", np.full((2, 3), 0.5), "class-rows")
-        write_prior(tmp_path / "prior.csv", ClassPrior.uniform(2))
-        write_labels(tmp_path / "labels.csv", np.array([0, label]))
+        write_table(tmp_path / "prior.csv", [0.5, 0.5], "prior")
+        write_table(tmp_path / "labels.csv", [0, label], "labels")
         result = run_cli(
             "solve",
             "--input", str(tmp_path / "p.csv"),
@@ -272,9 +285,71 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr == f"error: unknown {section} config fields: ['epsilom']\n"
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("train", "epochs", "3"),
+            ("dataset", "weak_noise_sigma", "0.1"),
+            ("train", "sinkhorn", 5),
+            (None, "seeds", 5),
+            ("train", "learning_rate", "0.5"),
+            ("train", "epochs", True),
+        ],
+    )
+    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, section, field, value):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        (config[section] if section else config)[field] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        result = run_cli(
+            "train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out")
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert repr(field) in result.stderr
+
+    def test_missing_config_field_is_usage_error(self, tmp_path):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        del config["dataset"]["k_total"]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        result = run_cli("gen-data", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stderr == "error: missing dataset config fields: ['k_total']\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("p", "# k=2 n=2 layout=class-rows\n0.6,0.5\n0.5,0.5\n"),
+            ("p", "# k=2 n=2 layout=class-rows\nnan,0.5\n0.5,0.5\n"),
+            ("p", "# k=2 n=2 layout=class-rows\n-0.5,0.5\n1.5,0.5\n"),
+            ("prior", "# k=2 layout=prior\n-0.5,1.5\n"),
+            ("prior", "# k=2 layout=prior\n0.5,0.5\n0.5,0.5\n"),
+            ("pred", "# n=2 layout=labels indexing=0-based\n0,7\n"),
+            ("prior", "# k=3 layout=prior\n0.2,0.3,0.5\n"),
+            ("labels", "# n=3 layout=labels indexing=0-based\n0,1,0\n"),
+        ],
+        ids=["column-sum-1.1", "nan", "negative", "negative-prior", "two-row-prior",
+             "eval-label-7-of-4", "prior-k-3-of-2", "3-labels-2-columns"],
+    )
+    def test_malformed_input_is_usage_error(self, tmp_path, name, text):
+        write_table(tmp_path / "p.csv", np.full((2, 2), 0.5), "class-rows")
+        write_table(tmp_path / "prior.csv", [0.5, 0.5], "prior")
+        write_table(tmp_path / "labels.csv", [0], "labels")
+        write_table(tmp_path / "truth.csv", [0, 1], "labels")
+        (tmp_path / f"{name}.csv").write_text(text)
+        if name == "pred":
+            args = ("eval", "--pred", str(tmp_path / "pred.csv"), "--truth", str(tmp_path / "truth.csv"),
+                    "--k-total", "4", "--seen", "0,1", "--out", str(tmp_path / "m.json"))
+        else:
+            args = ("solve", "--input", str(tmp_path / "p.csv"), "--prior", str(tmp_path / "prior.csv"),
+                    "--labels", str(tmp_path / "labels.csv"),
+                    "--out", str(tmp_path / "q.csv"), "--report", str(tmp_path / "r.json"))
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_eval_length_mismatch(self, tmp_path):
-        write_labels(tmp_path / "a.csv", np.array([0, 1]))
-        write_labels(tmp_path / "b.csv", np.array([0, 1, 1]))
+        write_table(tmp_path / "a.csv", [0, 1], "labels")
+        write_table(tmp_path / "b.csv", [0, 1, 1], "labels")
         result = run_cli(
             "eval",
             "--pred", str(tmp_path / "a.csv"),

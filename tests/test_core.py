@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from owssl.core import (
     ClassPrior,
     ColumnNotNormalized,
-    LabeledBlock,
-    LabelOutOfSeenSet,
     NegativeEntry,
     NonFiniteInput,
     PartitionSpec,
@@ -71,11 +69,6 @@ class TestPartitionAndLabels:
     def test_partition_disjoint(self):
         with pytest.raises(ValueError):
             PartitionSpec(2, (0, 1), (1,), 1, 1)
-
-    def test_labeled_block_respects_seen_set(self):
-        LabeledBlock(np.array([0, 1, 0]), seen=(0, 1))
-        with pytest.raises(LabelOutOfSeenSet):
-            LabeledBlock(np.array([0, 2]), seen=(0, 1))
 
 
 class TestSoftmax:
