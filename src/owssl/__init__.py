@@ -38,7 +38,6 @@ from .theory import (
     estimator_con,
     estimator_uncon,
     monte_carlo_ecs,
-    sample_multinomial,
     ecs_ordering_condition,
 )
 from .evaluation import (

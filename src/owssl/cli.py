@@ -21,8 +21,8 @@ from . import harness
 from .core import (
     ClassPrior,
     ColumnNotNormalized,
+    IndexOutOfRange,
     LabeledBlock,
-    LabelOutOfSeenSet,
     NegativeEntry,
     NonFiniteInput,
     OwsslError,
@@ -31,7 +31,7 @@ from .core import (
     Rng,
     ShapeMismatch,
 )
-from .evaluation import IndexOutOfRange, clustering_report
+from .evaluation import clustering_report
 from .sinkhorn import (
     SinkhornConfig,
     solve_conditional,
@@ -129,10 +129,22 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load_json(path) -> dict:
+    def refuse(token: str):
+        # Python's json reads these; RFC 8259 JSON has no such numbers
+        raise UsageError(f"{path}: {token} is not a JSON number")
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
+
+
+def _from_file(path, build, values):
+    """`build(values)`, with an input-check failure reported against the file it came from."""
+    try:
+        return build(values)
+    except _INPUT_ERRORS as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +152,15 @@ def _load_json(path) -> dict:
 
 
 def cmd_solve(args) -> int:
-    p = ProbMatrix(read_table(args.input, "class-rows"))
-    prior = ClassPrior.normalized(read_table(args.prior, "prior")[0])
+    p = _from_file(args.input, ProbMatrix, read_table(args.input, "class-rows"))
+    prior = _from_file(args.prior, ClassPrior.normalized, read_table(args.prior, "prior")[0])
     cfg = SinkhornConfig(epsilon=args.epsilon, max_iters=args.iters, tol=args.tol)
 
     conditional = args.labels is not None and not args.unconditional
     if args.conditional and args.labels is None:
         raise UsageError("--conditional requires --labels")
     if conditional:
-        labeled = LabeledBlock(read_table(args.labels, "labels")[0])
+        labeled = _from_file(args.labels, LabeledBlock, read_table(args.labels, "labels")[0])
         assignment = solve_conditional(p, prior, labeled, cfg)
     else:
         assignment = solve_unconditional(p, prior, cfg)
@@ -200,8 +212,7 @@ def cmd_eval(args) -> int:
     truth = read_table(args.truth, "labels")[0]
     seen = tuple(int(v) for v in args.seen.split(",")) if args.seen else ()
     novel = tuple(c for c in range(args.k_total) if c not in set(seen))
-    n_labeled = max(args.n_labeled, 0)
-    partition = PartitionSpec(args.k_total, seen, novel, n_labeled, max(pred.size - n_labeled, 1))
+    partition = PartitionSpec(args.k_total, seen, novel, 0, max(pred.size, 1))
     report = clustering_report(pred, truth, partition)
     _write_json(args.out, {"schema_version": SCHEMA_VERSION, **report})
     return 0
@@ -413,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--truth", required=True, help="ground-truth labels CSV")
     evaluate.add_argument("--k-total", type=int, required=True)
     evaluate.add_argument("--seen", required=True, help="comma-separated seen class indices")
-    evaluate.add_argument("--n-labeled", type=int, default=0)
     evaluate.add_argument("--out", required=True)
     evaluate.set_defaults(func=cmd_eval)
 
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 # exit 2: the input failed a check where it entered the toolkit
 _INPUT_ERRORS = (
     ParseError, UsageError, FileNotFoundError, ValueError, ShapeMismatch, NonFiniteInput,
-    NegativeEntry, ColumnNotNormalized, LabelOutOfSeenSet, IndexOutOfRange,
+    NegativeEntry, ColumnNotNormalized, IndexOutOfRange,
 )
 
 

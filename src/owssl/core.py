@@ -43,7 +43,7 @@ class ColumnNotNormalized(OwsslError):
         super().__init__(f"column {self.col} sums to {self.total!r}, expected 1")
 
 
-class LabelOutOfSeenSet(OwsslError):
+class IndexOutOfRange(OwsslError):
     pass
 
 
@@ -175,7 +175,7 @@ class LabeledBlock:
         if labels.ndim != 1:
             raise ShapeMismatch("labels must be a 1-D vector of class indices")
         if labels.size and labels.min() < 0:
-            raise LabelOutOfSeenSet("negative class index in labeled block")
+            raise IndexOutOfRange("negative class index in labeled block")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 

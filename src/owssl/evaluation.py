@@ -8,26 +8,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ClassPrior, OwsslError, PartitionSpec, Rng, ShapeMismatch
-
-
-class NonSquare(OwsslError):
-    pass
-
-
-class NonFinite(OwsslError):
-    pass
-
-
-class IndexOutOfRange(OwsslError):
-    pass
+from .core import (
+    ClassPrior,
+    IndexOutOfRange,
+    NonFiniteInput,
+    OwsslError,
+    PartitionSpec,
+    Rng,
+    ShapeMismatch,
+)
 
 
 class EmptySubset(OwsslError):
-    pass
-
-
-class EmptyLabeledSubset(OwsslError):
     pass
 
 
@@ -71,7 +63,7 @@ def _lsap(cost: np.ndarray) -> list[int]:
                     lowest, index = r, it
             min_val = lowest
             if min_val == math.inf:
-                raise NonFinite("cost matrix entries too large to match")
+                raise NonFiniteInput("cost matrix entries too large to match")
             j = remaining[index]
             if row4col[j] == -1:
                 sink = j
@@ -114,9 +106,9 @@ def hungarian(cost) -> tuple[np.ndarray, float]:
     """
     mat = np.asarray(cost, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-        raise NonSquare(f"expected a square matrix, got shape {mat.shape}")
+        raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise NonFinite("cost matrix contains non-finite entries")
+        raise NonFiniteInput("cost matrix contains non-finite entries")
     sigma = np.array(_lsap(mat), dtype=np.int64)
     return sigma, float(mat[np.arange(mat.shape[0]), sigma].sum())
 
@@ -142,7 +134,7 @@ def _contingency(pred: np.ndarray, truth: np.ndarray, size: int) -> np.ndarray:
     return table
 
 
-def best_cluster_match(pred, truth, size: int | None = None) -> MatchResult:
+def best_cluster_match(pred, truth, size: int) -> MatchResult:
     """Maximize index agreement over all relabelings of the predictions.
 
     The contingency table is built at `size` x `size` (indices outside the
@@ -155,8 +147,6 @@ def best_cluster_match(pred, truth, size: int | None = None) -> MatchResult:
         raise ShapeMismatch("pred and truth must have equal length")
     if pred.size == 0:
         raise EmptySubset("no samples to match")
-    if size is None:
-        size = int(max(pred.max(), truth.max())) + 1
     if pred.min() < 0 or truth.min() < 0 or max(pred.max(), truth.max()) >= size:
         raise IndexOutOfRange("cluster/class index outside 0..size-1")
     table = _contingency(pred, truth, size)
@@ -241,11 +231,10 @@ def _plus_plus_seeds(points: np.ndarray, k: int, gen: np.random.Generator) -> np
     return centroids
 
 
-def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    # at most 100 Lloyd steps, stopping once no centroid moves by 1e-6
     sq_norms = np.square(points).sum(axis=1)
-    for _ in range(max_iters):
+    for _ in range(100):
         dists = (
             sq_norms[:, None]
             - 2.0 * points @ centroids.T
@@ -267,7 +256,7 @@ def _lloyd(
                 new_centroids[j] = points[worst]
         shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < 1e-6:
             break
     dists = (
         sq_norms[:, None]
@@ -279,14 +268,7 @@ def _lloyd(
     return centroids, labels, inertia
 
 
-def kmeans(
-    points,
-    k: int,
-    rng: Rng,
-    restarts: int = 10,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def kmeans(points, k: int, rng: Rng, restarts: int = 10) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations with distance-squared seeding and multiple restarts.
 
     Each restart draws its seeds from an independent derived stream; the
@@ -301,7 +283,7 @@ def kmeans(
     for restart in range(restarts):
         gen = rng.derive(restart).generator()
         seeds = _plus_plus_seeds(pts, k, gen)
-        centroids, labels, inertia = _lloyd(pts, seeds, max_iters, tol)
+        centroids, labels, inertia = _lloyd(pts, seeds)
         if best is None or inertia < best[2]:
             best = (centroids, labels, inertia)
     return best
@@ -327,7 +309,7 @@ def estimate_num_classes(
     if idx.shape != lab.shape:
         raise ShapeMismatch("labeled indices and labels must have equal length")
     if idx.size == 0:
-        raise EmptyLabeledSubset("need at least one labeled sample")
+        raise EmptySubset("need at least one labeled sample")
     if idx.min() < 0 or idx.max() >= pts.shape[0]:
         raise IndexOutOfRange("labeled index outside the feature matrix")
     candidates = sorted(set(int(k) for k in k_candidates))

@@ -29,7 +29,6 @@ from .sinkhorn import (
     SinkhornConfig,
     residual_row_marginals,
     solve_conditional,
-    solve_unconditional,
 )
 from .threshold import PseudoBatch, ThresholdState, make_pseudo_batch, update_state
 
@@ -113,6 +112,10 @@ def _place_centroids(
 ) -> np.ndarray:
     side = separation * (k ** (1.0 / dim) + 1.0)
     for _ in range(30):
+        if not math.isfinite(side):
+            raise InfeasibleSeparation(
+                f"no finite cube holds {k} centroids at separation {separation} in {dim} dims"
+            )
         centroids = np.empty((k, dim))
         placed = 0
         attempts = 0
@@ -212,10 +215,6 @@ class ToyModel:
     bias: np.ndarray
     input_scale: float = 1.0
 
-    @classmethod
-    def zeros(cls, k: int, dim: int, input_scale: float = 1.0) -> "ToyModel":
-        return cls(np.zeros((k, dim)), np.zeros(k), input_scale)
-
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.weights @ (x / self.input_scale).T + self.bias[:, None]
 
@@ -230,7 +229,7 @@ class LogitQueue:
     column number `_pushed` (counting from 0) goes to slot `_pushed % capacity`.
     """
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -273,18 +272,12 @@ class HyperParams:
     epochs: int = 50
     batch_size: int = 256
     sinkhorn: SinkhornConfig = field(default_factory=lambda: SinkhornConfig(epsilon=0.5))
-    threshold_momentum: float = 0.9
     local_views: int = 4
-    local_mask_fraction: float = 0.5
     prior_mode: str = "true"
-    prior_momentum: float = 0.98
     queue_capacity: int = 1024
     conditional: bool = True
     confidence: bool = True
     threshold_policy: str = "hierarchical"
-    static_threshold: float = 0.95
-    weight_decay: float = 0.02
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -298,10 +291,6 @@ class HyperParams:
             raise ValueError("threshold_policy must be hierarchical, static, or adaptive-global")
         if self.local_views < 0:
             raise ValueError("local_views must be non-negative")
-        if not (0 <= self.prior_momentum < 1):
-            raise ValueError("prior_momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -384,13 +373,13 @@ def self_label_bias(
     return manhattan_bias(q_dist, truth_dist)
 
 
-def _solve_queue(
-    queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, conditional: bool, n_batch: int
-) -> np.ndarray:
-    """Self-labels for the newest `n_batch` queue columns, in insertion order."""
+def _solve_queue(queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, n_batch: int) -> np.ndarray:
+    """Self-labels for the newest `n_batch` queue columns, in insertion order.
+
+    Labeled columns (tag >= 0) are pinned; a queue of unlabeled columns only
+    gets an empty block, which solves bitwise as the unconditional problem.
+    """
     p_q, tags_q = queue.matrix()
-    if not conditional:
-        return solve_unconditional(ProbMatrix._trusted(p_q), prior, cfg).q.data[:, -n_batch:]
     order = np.argsort(tags_q < 0, kind="stable")  # labeled first, order preserved
     n_lab = int((tags_q >= 0).sum())
     block = LabeledBlock(tags_q[order[:n_lab]])
@@ -421,7 +410,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
     # argmaxes funnel every novel sample onto one head
     gen_init = rng.derive(0).generator()
     model = ToyModel(
-        weights=hyper.init_scale * gen_init.standard_normal((k, dim)) / math.sqrt(dim),
+        weights=0.1 * gen_init.standard_normal((k, dim)) / math.sqrt(dim),
         bias=np.zeros(k),
         input_scale=scale,
     )
@@ -432,9 +421,9 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
         # one group holding every class: the scheme collapses to a single
         # global status scaled by per-class ratios
         flat = PartitionSpec(k, tuple(range(k)), (), part.n_labeled, part.n_unlabeled)
-        state = ThresholdState.initial(flat, hyper.threshold_momentum)
+        state = ThresholdState.initial(flat)
     else:
-        state = ThresholdState.initial(part, hyper.threshold_momentum)
+        state = ThresholdState.initial(part)
 
     queue = LogitQueue(hyper.queue_capacity)
     log = RunLog()
@@ -470,11 +459,9 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
             if cov.size:
                 probs_cov = probs_w[:, cov]
                 queue.push(probs_cov, tags[cov])
-                q_batch = _solve_queue(
-                    queue, prior, hyper.sinkhorn, hyper.conditional, cov.size
-                )
+                q_batch = _solve_queue(queue, prior, hyper.sinkhorn, cov.size)
                 xls = [
-                    local_view(x[cov], sigma_strong, hyper.local_mask_fraction, gen_noise)
+                    local_view(x[cov], sigma_strong, 0.5, gen_noise)
                     for _ in range(hyper.local_views)
                 ]
                 cls, g_cls = clustering_loss(
@@ -492,9 +479,8 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
                 if hyper.threshold_policy == "static":
                     confs = probs_w.max(axis=0)
                     plabels = probs_w.argmax(axis=0)
-                    pseudo = PseudoBatch(
-                        confs > hyper.static_threshold, plabels, confs
-                    )
+                    # FixMatch's fixed cutoff
+                    pseudo = PseudoBatch(confs > 0.95, plabels, confs)
                 else:
                     pm_w = ProbMatrix._trusted(probs_w)
                     state = update_state(state, pm_w)
@@ -508,7 +494,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
 
             d_weights += grad_w @ (xw / scale)
             d_bias += grad_w.sum(axis=1)
-            d_weights += hyper.weight_decay * model.weights
+            d_weights += 0.02 * model.weights  # weight decay
             lr = hyper.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
             model.weights -= lr * d_weights
             model.bias -= lr * d_bias
@@ -554,6 +540,6 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
         )
 
         if hyper.prior_mode == "adaptive":
-            prior = estimate_prior_adaptive(prior, probs_full, hyper.prior_momentum)
+            prior = estimate_prior_adaptive(prior, probs_full, 0.98)
 
     return model, log

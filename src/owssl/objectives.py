@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PROB_FLOOR, ShapeMismatch
+from .core import PROB_FLOOR, IndexOutOfRange, ShapeMismatch
 
 
 def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -29,7 +29,7 @@ def supervised_loss(labels, probs: np.ndarray) -> tuple[float, np.ndarray]:
     if idx.size != n:
         raise ShapeMismatch(f"{idx.size} labels for {n} prediction columns")
     if idx.min() < 0 or idx.max() >= k:
-        raise ShapeMismatch("label index outside 0..K-1")
+        raise IndexOutOfRange("label index outside 0..K-1")
     cols = np.arange(n)
     value = float(-np.log(np.maximum(probs[idx, cols], PROB_FLOOR)).mean())
     grad = probs.copy()

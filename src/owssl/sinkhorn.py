@@ -17,11 +17,11 @@ import numpy as np
 from .core import (
     PROB_FLOOR,
     ClassPrior,
+    IndexOutOfRange,
     LabeledBlock,
     OwsslError,
     ProbMatrix,
     ShapeMismatch,
-    LabelOutOfSeenSet,
 )
 
 
@@ -61,8 +61,8 @@ class SinkhornConfig:
             raise ValueError("tol must be non-negative")
 
     @classmethod
-    def verification(cls, epsilon: float = 0.1, tol: float = 1e-9) -> "SinkhornConfig":
-        return cls(epsilon=epsilon, max_iters=100_000, tol=tol)
+    def verification(cls, epsilon: float = 0.1) -> "SinkhornConfig":
+        return cls(epsilon=epsilon, max_iters=100_000, tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     if n_labeled > n:
         raise ShapeMismatch(f"{n_labeled} labels for only {n} columns")
     if n_labeled and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfSeenSet("labeled class index outside 0..K-1")
+        raise IndexOutOfRange("labeled class index outside 0..K-1")
     counts = np.bincount(labels, minlength=k) if n_labeled else np.zeros(k, dtype=np.int64)
     # the deficit that residual_row_marginals clamps to zero
     clamped = bool(np.any(n * prior.probs - counts < 0))

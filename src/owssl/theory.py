@@ -106,24 +106,22 @@ class EcsReport:
         }
 
 
-def sample_multinomial(n: int, probs: ClassPrior, rng: Rng) -> np.ndarray:
-    """Draw class counts summing to n with the given class probabilities."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.zeros(probs.k, dtype=np.int64)
-    return rng.generator().multinomial(n, probs.probs).astype(np.int64)
+def chi_square_statistic(observed, expected):
+    """Sum of (observed - expected)^2 / expected over the classes, the last axis.
 
-
-def chi_square_statistic(observed, expected) -> float:
-    """Sum of (observed - expected)^2 / expected over all classes."""
+    `observed` is one count vector (the result is a float) or a stack of
+    them (an array, one value per vector). The classes are added one at a
+    time in index order, not by `.sum(axis=-1)`: numpy groups the terms of a
+    contiguous row pairwise, so the value would depend on the array layout.
+    """
     obs = np.asarray(observed, dtype=np.float64)
     exp = np.asarray(expected, dtype=np.float64)
-    if obs.shape != exp.shape:
-        raise ShapeMismatch(f"observed shape {obs.shape} != expected shape {exp.shape}")
+    if exp.ndim != 1 or obs.shape[-1:] != exp.shape:
+        raise ShapeMismatch(f"observed shape {obs.shape} does not end in expected shape {exp.shape}")
     if np.any(exp <= 0):
         raise NonPositiveExpected("expected counts must be strictly positive")
-    return float((np.square(obs - exp) / exp).sum())
+    chi = functools.reduce(np.add, np.moveaxis(np.square(obs - exp) / exp, -1, 0))
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def estimator_uncon(spec: PopulationSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +240,7 @@ def monte_carlo_ecs(
         else:
             counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=m)
         a_con = budget[None, :] - counts
-        # class by class, not .sum(axis=1): numpy groups the terms of a
-        # contiguous row (a C-ordered chunk, or a chunk of one trial) pairwise
-        chi = functools.reduce(np.add, (np.square(a_con[:, live] - expected_u) / expected_u).T)
+        chi = chi_square_statistic(a_con[:, live], expected_u)
         mu = a_con / spec.n_unlabeled
         # not chi.sum(): numpy groups the terms of a contiguous sum by build
         # and CPU, which can move the last digit of the mean
@@ -273,9 +269,7 @@ def monte_carlo_ecs(
     # the unconditional estimate is a constant vector: its chi-square is
     # deterministic, equal to the closed form, with zero standard error
     a_uncon, _ = estimator_uncon(spec)
-    ecs_uncon_emp = float(
-        (np.square(a_uncon[live] - expected_u) / expected_u).sum()
-    )
+    ecs_uncon_emp = chi_square_statistic(a_uncon[live], expected_u)
 
     return EcsReport(
         ecs_uncon_closed=closed_uncon,

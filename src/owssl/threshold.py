@@ -45,14 +45,14 @@ class ThresholdState:
         object.__setattr__(self, "zeta", zeta)
 
     @classmethod
-    def initial(cls, partition: PartitionSpec, momentum: float = 0.999) -> "ThresholdState":
+    def initial(cls, partition: PartitionSpec) -> "ThresholdState":
         # uniform-confidence start: 1/K for every class and group
         start = 1.0 / partition.k_total
         return cls(
             zeta=np.full(partition.k_total, start),
             eta_seen=start,
             eta_novel=start,
-            momentum=momentum,
+            momentum=0.9,
             partition=partition,
         )
 

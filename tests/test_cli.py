@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 import subprocess
 import sys
@@ -316,21 +317,25 @@ class TestExitCodes:
         assert result.stderr == "error: missing dataset config fields: ['k_total']\n"
 
     @pytest.mark.parametrize(
-        "name, text",
+        "name, text, names_file",
         [
-            ("p", "# k=2 n=2 layout=class-rows\n0.6,0.5\n0.5,0.5\n"),
-            ("p", "# k=2 n=2 layout=class-rows\nnan,0.5\n0.5,0.5\n"),
-            ("p", "# k=2 n=2 layout=class-rows\n-0.5,0.5\n1.5,0.5\n"),
-            ("prior", "# k=2 layout=prior\n-0.5,1.5\n"),
-            ("prior", "# k=2 layout=prior\n0.5,0.5\n0.5,0.5\n"),
-            ("pred", "# n=2 layout=labels indexing=0-based\n0,7\n"),
-            ("prior", "# k=3 layout=prior\n0.2,0.3,0.5\n"),
-            ("labels", "# n=3 layout=labels indexing=0-based\n0,1,0\n"),
+            ("p", "# k=2 n=2 layout=class-rows\n0.6,0.5\n0.5,0.5\n", True),
+            ("p", "# k=2 n=2 layout=class-rows\nnan,0.5\n0.5,0.5\n", True),
+            ("p", "# k=2 n=2 layout=class-rows\n-0.5,0.5\n1.5,0.5\n", True),
+            ("prior", "# k=2 layout=prior\n-0.5,1.5\n", True),
+            ("prior", "# k=2 layout=prior\n0.5,0.5\n0.5,0.5\n", True),
+            ("prior", "# k=2 layout=prior\n0.0,0.0\n", True),
+            ("labels", "# n=1 layout=labels indexing=0-based\n-1\n", True),
+            # the errors below compare two inputs, so they name no one file
+            ("pred", "# n=2 layout=labels indexing=0-based\n0,7\n", False),
+            ("prior", "# k=3 layout=prior\n0.2,0.3,0.5\n", False),
+            ("labels", "# n=3 layout=labels indexing=0-based\n0,1,0\n", False),
         ],
         ids=["column-sum-1.1", "nan", "negative", "negative-prior", "two-row-prior",
+             "zero-mass-prior", "negative-label",
              "eval-label-7-of-4", "prior-k-3-of-2", "3-labels-2-columns"],
     )
-    def test_malformed_input_is_usage_error(self, tmp_path, name, text):
+    def test_malformed_input_is_usage_error(self, tmp_path, name, text, names_file):
         write_table(tmp_path / "p.csv", np.full((2, 2), 0.5), "class-rows")
         write_table(tmp_path / "prior.csv", [0.5, 0.5], "prior")
         write_table(tmp_path / "labels.csv", [0], "labels")
@@ -346,6 +351,38 @@ class TestExitCodes:
         result = run_cli(*args)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        if names_file:
+            assert result.stderr.startswith(f"error: {tmp_path / name}.csv:")
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("dataset", "cluster_separation", math.nan),
+            ("dataset", "cluster_separation", math.inf),
+            ("dataset", "strong_noise_sigma", math.inf),
+            ("train", "learning_rate", math.nan),
+        ],
+        ids=["separation-nan", "separation-inf", "strong-sigma-inf", "learning-rate-nan"],
+    )
+    def test_non_json_number_in_config_is_usage_error(self, tmp_path, command, section, field, value):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config[section][field] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # writes NaN / Infinity
+        result = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {tmp_path / 'cfg.json'}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_separation_past_float_range_is_computation_failure(self, tmp_path, command):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config["dataset"]["cluster_separation"] = 1e308
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        result = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: no finite cube holds 4 centroids")
+        assert result.stderr.count("\n") == 1
 
     def test_eval_length_mismatch(self, tmp_path):
         write_table(tmp_path / "a.csv", [0, 1], "labels")
@@ -526,3 +563,20 @@ class TestGoldenEval:
         payload = json.loads((GOLDEN / "eval" / "metrics.json").read_text())
         assert payload["novel"] == 1.0
         assert payload["mapping"] == [0, 1, 3, 2]
+
+
+def test_readme_run_config_names_every_field(tmp_path):
+    from dataclasses import fields
+
+    from owssl import cli, harness
+    from owssl.sinkhorn import SinkhornConfig
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+    (tmp_path / "run.json").write_text(block)
+    cli._load_run_config(tmp_path / "run.json")
+    config = json.loads(block)
+    for section, cls in ((config["dataset"], harness.SyntheticConfig),
+                         (config["train"], harness.HyperParams),
+                         (config["train"]["sinkhorn"], SinkhornConfig)):
+        assert set(section) == {f.name for f in fields(cls)}, cls.__name__

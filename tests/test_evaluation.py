@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owssl.core import ClassPrior, PartitionSpec, Rng, ShapeMismatch
-from owssl.evaluation import (
-    EmptyLabeledSubset,
-    EmptySubset,
+from owssl.core import (
+    ClassPrior,
     IndexOutOfRange,
-    NonFinite,
-    NonSquare,
+    NonFiniteInput,
+    PartitionSpec,
+    Rng,
+    ShapeMismatch,
+)
+from owssl.evaluation import (
+    EmptySubset,
     best_cluster_match,
     clustering_accuracy,
     clustering_report,
@@ -40,11 +43,11 @@ class TestHungarian:
         assert total == 2.0
 
     def test_rejects_non_square(self):
-        with pytest.raises(NonSquare):
+        with pytest.raises(ShapeMismatch):
             hungarian(np.ones((2, 3)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFiniteInput):
             hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
     def test_matches_brute_force(self):
@@ -249,7 +252,7 @@ class TestEstimateNumClasses:
         assert guess == 2
 
     def test_empty_labeled_subset(self):
-        with pytest.raises(EmptyLabeledSubset):
+        with pytest.raises(EmptySubset):
             estimate_num_classes(
                 np.zeros((5, 2)), np.empty(0, int), np.empty(0, int), range(2, 3), Rng(0)
             )

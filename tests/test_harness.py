@@ -353,7 +353,7 @@ class TestValidationBoundary:
 
         p = ProbMatrix(np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]))
         q = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig()).q
-        pred = ToyModel.zeros(2, 3).predict(np.ones((4, 3)))
+        pred = ToyModel(np.zeros((2, 3)), np.zeros(2)).predict(np.ones((4, 3)))
         for data in (q.data, pred.data):
             assert not data.flags.writeable
             with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owssl.core import ShapeMismatch, softmax
+from owssl.core import IndexOutOfRange, ShapeMismatch, softmax
 from owssl.objectives import clustering_loss, confidence_loss, supervised_loss
 from owssl.threshold import PseudoBatch
 
@@ -69,7 +69,7 @@ class TestSupervisedLoss:
         assert supervised_loss(np.array([0, 0]), probs)[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_rejects_label_outside_classes(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IndexOutOfRange):
             supervised_loss(np.array([0, 2]), np.full((2, 2), 0.5))
 
 

@@ -15,7 +15,6 @@ from owssl.theory import (
     estimator_con,
     estimator_uncon,
     monte_carlo_ecs,
-    sample_multinomial,
     ecs_ordering_condition,
 )
 
@@ -53,41 +52,17 @@ class TestPopulationSpec:
             spec_of([1.0], [0.5, 0.5], 1, 1)
 
 
-class TestSampleMultinomial:
-    def test_zero_draws(self):
-        counts = sample_multinomial(0, ClassPrior.uniform(3), Rng(0))
-        np.testing.assert_array_equal(counts, [0, 0, 0])
-
-    def test_degenerate_mass(self):
-        counts = sample_multinomial(7, ClassPrior(np.array([1.0, 0.0, 0.0])), Rng(1))
-        np.testing.assert_array_equal(counts, [7, 0, 0])
-
-    def test_mean_within_clt_band(self):
-        prior = ClassPrior(np.array([0.3, 0.7]))
-        rng = Rng(7)
-        trials = 10_000
-        draws = np.stack(
-            [sample_multinomial(1000, prior, rng.derive(t)) for t in range(200)]
-        )
-        # vectorized continuation for the bulk of the trials
-        gen = rng.derive(10**6).generator()
-        draws = np.vstack([draws, gen.multinomial(1000, prior.probs, size=trials - 200)])
-        mean = draws.mean(axis=0)
-        se = np.sqrt(1000 * prior.probs * (1 - prior.probs) / trials)
-        assert np.all(np.abs(mean - [300.0, 700.0]) <= 3 * se)
-
-    def test_counts_always_conserved(self):
-        prior = ClassPrior(np.array([0.2, 0.5, 0.3]))
-        for t in range(50):
-            assert sample_multinomial(37, prior, Rng(3, t)).sum() == 37
-
-
 class TestChiSquare:
     def test_exact_match_is_zero(self):
         assert chi_square_statistic([50, 50], [50.0, 50.0]) == 0.0
 
     def test_worked_value(self):
         assert chi_square_statistic([60, 40], [50.0, 50.0]) == pytest.approx(4.0)
+
+    def test_stack_gives_each_rows_value(self):
+        obs = np.array([[60, 40], [50, 50], [45, 55]])
+        chis = chi_square_statistic(obs, [50.0, 50.0])
+        assert chis.tolist() == [chi_square_statistic(row, [50.0, 50.0]) for row in obs]
 
     def test_rejects_non_positive_expected(self):
         with pytest.raises(NonPositiveExpected):
