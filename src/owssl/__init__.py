@@ -19,7 +19,6 @@ from .sinkhorn import (
 from .threshold import (
     PseudoBatch,
     ThresholdState,
-    hierarchical_threshold,
     make_pseudo_batch,
     thresholds,
     update_state,

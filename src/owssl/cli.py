@@ -396,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--conditional", action="store_true", help="pin labeled columns")
     mode.add_argument("--unconditional", action="store_true", help="ignore any labels")
-    solve.add_argument("--epsilon", type=float, default=0.1, help="entropy weight")
-    solve.add_argument("--iters", type=int, default=100_000)
-    solve.add_argument("--tol", type=float, default=1e-9)
+    verify = SinkhornConfig.verification()
+    solve.add_argument("--epsilon", type=float, default=verify.epsilon, help="entropy weight")
+    solve.add_argument("--iters", type=int, default=verify.max_iters)
+    solve.add_argument("--tol", type=float, default=verify.tol)
     solve.set_defaults(func=cmd_solve)
 
     theory = sub.add_parser("theory", help="Monte Carlo estimator reliability report")

@@ -231,8 +231,12 @@ def _plus_plus_seeds(points: np.ndarray, k: int, gen: np.random.Generator) -> np
     return centroids
 
 
+_RESTARTS = 10  # k-means seedings per call
+
+
 def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # at most 100 Lloyd steps, stopping once no centroid moves by 1e-6
+    k = centroids.shape[0]
     sq_norms = np.square(points).sum(axis=1)
     for _ in range(100):
         dists = (
@@ -241,15 +245,13 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
             + np.square(centroids).sum(axis=1)[None, :]
         )
         labels = dists.argmin(axis=1)
-        new_centroids = centroids.copy()
-        empties = []
-        for j in range(centroids.shape[0]):
-            members = labels == j
-            if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
-            else:
-                empties.append(j)
-        if empties:
+        # every centroid's members summed row by row in index order: for D >= 2
+        # the bits of points[labels == j].mean(axis=0), without a loop over j
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in points.T], axis=1)
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
             # relocate empty centroids to distinct worst-fit points
             order = np.argsort(-dists[np.arange(points.shape[0]), labels])
             for j, worst in zip(empties, order):
@@ -268,7 +270,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     return centroids, labels, inertia
 
 
-def kmeans(points, k: int, rng: Rng, restarts: int = 10) -> tuple[np.ndarray, np.ndarray, float]:
+def kmeans(points, k: int, rng: Rng) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations with distance-squared seeding and multiple restarts.
 
     Each restart draws its seeds from an independent derived stream; the
@@ -280,7 +282,7 @@ def kmeans(points, k: int, rng: Rng, restarts: int = 10) -> tuple[np.ndarray, np
     if not (1 <= k <= pts.shape[0]):
         raise ValueError(f"k={k} must lie in 1..{pts.shape[0]}")
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for restart in range(restarts):
+    for restart in range(_RESTARTS):
         gen = rng.derive(restart).generator()
         seeds = _plus_plus_seeds(pts, k, gen)
         centroids, labels, inertia = _lloyd(pts, seeds)
@@ -295,7 +297,6 @@ def estimate_num_classes(
     labeled_labels,
     k_candidates: Iterable[int],
     rng: Rng,
-    restarts: int = 10,
 ) -> int:
     """Pick the cluster count whose clustering best matches the labeled subset.
 
@@ -318,7 +319,7 @@ def estimate_num_classes(
     best_k = candidates[0]
     best_acc = -1.0
     for pos, k in enumerate(candidates):
-        _, labels, _ = kmeans(pts, k, rng.derive(pos), restarts=restarts)
+        _, labels, _ = kmeans(pts, k, rng.derive(pos))
         size = max(k, int(lab.max()) + 1)
         acc = best_cluster_match(labels[idx], lab, size=size).matched_accuracy
         if acc > best_acc:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     ClassPrior,
     LabeledBlock,
+    NonFiniteInput,
     OwsslError,
     PartitionSpec,
     ProbMatrix,
@@ -30,10 +31,14 @@ from .sinkhorn import (
     residual_row_marginals,
     solve_conditional,
 )
-from .threshold import PseudoBatch, ThresholdState, make_pseudo_batch, update_state
+from .threshold import ThresholdState, make_pseudo_batch, thresholds, update_state
 
 
 class InfeasibleSeparation(OwsslError):
+    pass
+
+
+class TrainingDiverged(OwsslError):
     pass
 
 
@@ -393,6 +398,8 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
     """Run the full training loop and log per-epoch metrics.
 
     The weak and strong view sigmas come from the dataset's generation config.
+    Raises TrainingDiverged, naming the epoch and batch, once the model's
+    logits stop being finite.
     """
     part = dataset.partition
     k, dim, n = part.k_total, dataset.dim, dataset.n
@@ -435,78 +442,82 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
     for epoch in range(1, hyper.epochs + 1):
         perm = gen_batch.permutation(n)
         sums = {"sup": 0.0, "cls": 0.0, "conf": 0.0, "retained": 0.0}
-        for start in range(0, n, hyper.batch_size):
-            batch = perm[start : start + hyper.batch_size]
-            b = batch.size
-            x = dataset.features[batch]
-            is_lab = batch < part.n_labeled
-            tags = np.where(is_lab, dataset.labels[batch], -1)
+        try:
+            for start in range(0, n, hyper.batch_size):
+                batch = perm[start : start + hyper.batch_size]
+                b = batch.size
+                x = dataset.features[batch]
+                is_lab = batch < part.n_labeled
+                tags = np.where(is_lab, dataset.labels[batch], -1)
 
-            xw = weak_view(x, sigma_weak, gen_noise)
-            probs_w = softmax(model.logits(xw))
-            grad_w = np.zeros_like(probs_w)
-            d_weights = np.zeros_like(model.weights)
-            d_bias = np.zeros_like(model.bias)
+                xw = weak_view(x, sigma_weak, gen_noise)
+                probs_w = softmax(model.logits(xw))
+                grad_w = np.zeros_like(probs_w)
+                d_weights = np.zeros_like(model.weights)
+                d_bias = np.zeros_like(model.bias)
 
-            # supervised term on the labeled part of the batch
-            sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
-            grad_w[:, is_lab] += g_sup
+                # supervised term on the labeled part of the batch
+                sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
+                grad_w[:, is_lab] += g_sup
 
-            # clustering term against queue-derived self-labels, on the weak
-            # view and the local views
-            cov = np.arange(b) if hyper.conditional else np.flatnonzero(~is_lab)
-            cls = 0.0
-            if cov.size:
-                probs_cov = probs_w[:, cov]
-                queue.push(probs_cov, tags[cov])
-                q_batch = _solve_queue(queue, prior, hyper.sinkhorn, cov.size)
-                xls = [
-                    local_view(x[cov], sigma_strong, 0.5, gen_noise)
-                    for _ in range(hyper.local_views)
-                ]
-                cls, g_cls = clustering_loss(
-                    q_batch, [probs_cov] + [softmax(model.logits(xl)) for xl in xls]
-                )
-                grad_w[:, cov] += g_cls[0]
-                for xl, g_l in zip(xls, g_cls[1:]):
-                    d_weights += g_l @ (xl / scale)
-                    d_bias += g_l.sum(axis=1)
+                # clustering term against queue-derived self-labels, on the weak
+                # view and the local views
+                cov = np.arange(b) if hyper.conditional else np.flatnonzero(~is_lab)
+                cls = 0.0
+                if cov.size:
+                    probs_cov = probs_w[:, cov]
+                    queue.push(probs_cov, tags[cov])
+                    q_batch = _solve_queue(queue, prior, hyper.sinkhorn, cov.size)
+                    xls = [
+                        local_view(x[cov], sigma_strong, 0.5, gen_noise)
+                        for _ in range(hyper.local_views)
+                    ]
+                    cls, g_cls = clustering_loss(
+                        q_batch, [probs_cov] + [softmax(model.logits(xl)) for xl in xls]
+                    )
+                    grad_w[:, cov] += g_cls[0]
+                    for xl, g_l in zip(xls, g_cls[1:]):
+                        d_weights += g_l @ (xl / scale)
+                        d_bias += g_l.sum(axis=1)
 
-            # confidence term on strong views of the whole batch
-            conf = 0.0
-            retained = 0.0
-            if hyper.confidence:
-                if hyper.threshold_policy == "static":
-                    confs = probs_w.max(axis=0)
-                    plabels = probs_w.argmax(axis=0)
-                    # FixMatch's fixed cutoff
-                    pseudo = PseudoBatch(confs > 0.95, plabels, confs)
-                else:
-                    pm_w = ProbMatrix._trusted(probs_w)
-                    state = update_state(state, pm_w)
-                    pseudo = make_pseudo_batch(state, pm_w)
-                retained = pseudo.retained_fraction
-                if pseudo.mask.any():
-                    xs = strong_view(x, sigma_strong, gen_noise)
-                    conf, g_s = confidence_loss(pseudo, softmax(model.logits(xs)))
-                    d_weights += g_s @ (xs / scale)
-                    d_bias += g_s.sum(axis=1)
+                # confidence term on strong views of the whole batch
+                conf = 0.0
+                retained = 0.0
+                if hyper.confidence:
+                    if hyper.threshold_policy == "static":
+                        tau = np.full(k, 0.95)  # FixMatch's fixed cutoff
+                    else:
+                        state = update_state(state, probs_w)
+                        tau = thresholds(state)
+                    pseudo = make_pseudo_batch(probs_w, tau)
+                    retained = pseudo.retained_fraction
+                    if pseudo.mask.any():
+                        xs = strong_view(x, sigma_strong, gen_noise)
+                        conf, g_s = confidence_loss(pseudo, softmax(model.logits(xs)))
+                        d_weights += g_s @ (xs / scale)
+                        d_bias += g_s.sum(axis=1)
 
-            d_weights += grad_w @ (xw / scale)
-            d_bias += grad_w.sum(axis=1)
-            d_weights += 0.02 * model.weights  # weight decay
-            lr = hyper.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-            model.weights -= lr * d_weights
-            model.bias -= lr * d_bias
-            step += 1
+                d_weights += grad_w @ (xw / scale)
+                d_bias += grad_w.sum(axis=1)
+                d_weights += 0.02 * model.weights  # weight decay
+                lr = hyper.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+                model.weights -= lr * d_weights
+                model.bias -= lr * d_bias
+                step += 1
 
-            sums["sup"] += sup
-            sums["cls"] += cls
-            sums["conf"] += conf
-            sums["retained"] += retained
+                sums["sup"] += sup
+                sums["cls"] += cls
+                sums["conf"] += conf
+                sums["retained"] += retained
 
-        # epoch metrics on clean features
-        probs_full = model.predict(dataset.features)
+            start = None  # past the last batch
+            # epoch metrics on clean features
+            probs_full = model.predict(dataset.features)
+        except NonFiniteInput as exc:
+            # softmax only sees logits the run computed, so a non-finite one
+            # means the run diverged: a computation failure, not malformed input
+            where = f"batch {start // hyper.batch_size + 1}" if start is not None else "evaluation pass"
+            raise TrainingDiverged(f"training diverged at epoch {epoch}, {where}: {exc}") from exc
         pred_hard = probs_full.data.argmax(axis=0)
         pred_dist = empirical_distribution(pred_hard, k)
         b_m = manhattan_bias(pred_dist, truth_dist)

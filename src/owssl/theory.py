@@ -202,9 +202,10 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
     return root * float(a.min()) > 1.0 and root * float(b.min()) > 1.0
 
 
-def monte_carlo_ecs(
-    spec: PopulationSpec, trials: int, rng: Rng, chunk_size: int = 20_000
-) -> EcsReport:
+_CHUNK = 20_000  # Monte Carlo trials per derived random stream
+
+
+def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     """Monte Carlo check of unbiasedness and of the closed-form ECS values.
 
     Each trial draws labeled counts from the labeled prior, forms both
@@ -233,7 +234,7 @@ def monte_carlo_ecs(
     done = 0
     chunk_index = 0
     while done < trials:
-        m = min(chunk_size, trials - done)
+        m = min(_CHUNK, trials - done)
         gen = rng.derive(chunk_index).generator()
         if spec.n_labeled == 0:
             counts = np.zeros((m, spec.k))

@@ -5,6 +5,8 @@ each group tracks its own mean confidence (eta) and every class its own
 (zeta). The threshold for a class is its group's eta scaled by the ratio
 of the class zeta to the group's best zeta, so weak classes inside a group
 get proportionally lower cutoffs while the two groups stay isolated.
+`make_pseudo_batch` applies any per-class threshold vector, this rule's or
+a constant one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import OwsslError, PartitionSpec, ProbMatrix, ShapeMismatch
+from .core import OwsslError, PartitionSpec, ShapeMismatch
 
 
 class DegenerateGroup(OwsslError):
@@ -88,18 +90,18 @@ class PseudoBatch:
         return float(self.mask.mean()) if self.mask.size else 0.0
 
 
-def update_state(state: ThresholdState, probs: ProbMatrix) -> ThresholdState:
-    """Fold a batch of predictions into the EMA learning statuses.
+def update_state(state: ThresholdState, probs: np.ndarray) -> ThresholdState:
+    """Fold a K x B batch of predictions into the EMA learning statuses.
 
     Batch statistics are means of the top confidence over samples whose
     argmax falls in each class/group; classes or groups that receive no
     samples keep their previous value unchanged.
     """
     k = state.partition.k_total
-    if probs.k != k:
-        raise ShapeMismatch(f"matrix has {probs.k} rows, partition expects {k}")
-    conf = probs.data.max(axis=0)
-    pred = probs.data.argmax(axis=0)
+    if probs.shape[0] != k:
+        raise ShapeMismatch(f"matrix has {probs.shape[0]} rows, partition expects {k}")
+    conf = probs.max(axis=0)
+    pred = probs.argmax(axis=0)
     m = state.momentum
 
     counts = np.bincount(pred, minlength=k)
@@ -119,40 +121,25 @@ def update_state(state: ThresholdState, probs: ProbMatrix) -> ThresholdState:
     return replace(state, zeta=zeta, eta_seen=eta_seen, eta_novel=eta_novel)
 
 
-def _group_thresholds(state: ThresholdState, members: tuple[int, ...], eta: float) -> np.ndarray:
-    # the rule on one group, in member order
-    zeta = state.zeta[list(members)]
-    peak = float(zeta.max())
-    if peak <= 0:
-        raise DegenerateGroup("every zeta in the group is zero")
-    return zeta / peak * eta
-
-
-def hierarchical_threshold(state: ThresholdState, c: int) -> float:
-    """Threshold for class c: (zeta_c / max zeta in its group) * group eta."""
-    part = state.partition
-    if not (0 <= c < part.k_total):
-        raise ValueError(f"class index {c} out of range")
-    members, eta = (part.seen, state.eta_seen) if part.is_seen[c] else (part.novel, state.eta_novel)
-    return float(_group_thresholds(state, members, eta)[members.index(c)])
-
-
 def thresholds(state: ThresholdState) -> np.ndarray:
-    """Vector of per-class thresholds: `hierarchical_threshold` of every class."""
+    """Per-class thresholds: (zeta_c / max zeta in c's group) * the group's eta."""
     part = state.partition
     tau = np.zeros(part.k_total)
     for members, eta in ((part.seen, state.eta_seen), (part.novel, state.eta_novel)):
         if members:
-            tau[list(members)] = _group_thresholds(state, members, eta)
+            idx = list(members)
+            zeta = state.zeta[idx]
+            peak = float(zeta.max())
+            if peak <= 0:
+                raise DegenerateGroup("every zeta in the group is zero")
+            tau[idx] = zeta / peak * eta
     return tau
 
 
-def make_pseudo_batch(state: ThresholdState, probs: ProbMatrix) -> PseudoBatch:
-    """Argmax pseudo-labels (ties to the lowest index) with the strict-> mask."""
-    if probs.k != state.partition.k_total:
-        raise ShapeMismatch(f"matrix has {probs.k} rows, partition expects {state.partition.k_total}")
-    conf = probs.data.max(axis=0)
-    labels = probs.data.argmax(axis=0)
-    tau = thresholds(state)
-    mask = conf > tau[labels]
-    return PseudoBatch(mask=mask, labels=labels, confidences=conf)
+def make_pseudo_batch(probs: np.ndarray, tau: np.ndarray) -> PseudoBatch:
+    """Argmax pseudo-labels of a K x B batch (ties to the lowest index), kept where conf > tau[label]."""
+    if probs.shape[0] != tau.size:
+        raise ShapeMismatch(f"matrix has {probs.shape[0]} rows, threshold vector has {tau.size}")
+    conf = probs.max(axis=0)
+    labels = probs.argmax(axis=0)
+    return PseudoBatch(conf > tau[labels], labels, conf)

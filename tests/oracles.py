@@ -153,3 +153,43 @@ def central_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray
         down[i] -= h
         grad[i] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+def lloyd_per_centroid(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations that average each centroid's members with its own mean() call.
+
+    The same steps, stopping rule and empty-cluster relocation as
+    `evaluation._lloyd`, which forms every centroid's member sum at once.
+    """
+    sq_norms = np.square(points).sum(axis=1)
+    for _ in range(100):
+        dists = (
+            sq_norms[:, None]
+            - 2.0 * points @ centroids.T
+            + np.square(centroids).sum(axis=1)[None, :]
+        )
+        labels = dists.argmin(axis=1)
+        new_centroids = centroids.copy()
+        empties = []
+        for j in range(centroids.shape[0]):
+            members = labels == j
+            if members.any():
+                new_centroids[j] = points[members].mean(axis=0)
+            else:
+                empties.append(j)
+        if empties:
+            order = np.argsort(-dists[np.arange(points.shape[0]), labels])
+            for j, worst in zip(empties, order):
+                new_centroids[j] = points[worst]
+        shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    dists = (
+        sq_norms[:, None]
+        - 2.0 * points @ centroids.T
+        + np.square(centroids).sum(axis=1)[None, :]
+    )
+    labels = dists.argmin(axis=1)
+    inertia = float(np.maximum(dists[np.arange(points.shape[0]), labels], 0.0).sum())
+    return centroids, labels, inertia

@@ -35,7 +35,6 @@ from owssl.theory import (
 from owssl.threshold import (
     PseudoBatch,
     ThresholdState,
-    hierarchical_threshold,
     make_pseudo_batch,
     thresholds,
 )
@@ -255,9 +254,10 @@ def test_c08_threshold_hierarchy():
     worked = ThresholdState(
         np.array([0.9, 0.6]), 0.8, 0.5, 0.9, PartitionSpec(2, (0, 1), (), 1, 1)
     )
-    worked_ok = abs(hierarchical_threshold(worked, 0) - 0.8) <= 1e-9 and abs(
-        hierarchical_threshold(worked, 1) - 0.8 * 0.6 / 0.9
-    ) <= 1e-9 and abs(hierarchical_threshold(worked, 1) - 0.53333333333) <= 1e-9
+    tau_worked = thresholds(worked)
+    worked_ok = abs(tau_worked[0] - 0.8) <= 1e-9 and abs(
+        tau_worked[1] - 0.8 * 0.6 / 0.9
+    ) <= 1e-9 and abs(tau_worked[1] - 0.53333333333) <= 1e-9
 
     bound_ok = isolation_ok = mask_ok = True
     for _ in range(10_000):
@@ -282,8 +282,8 @@ def test_c08_threshold_hierarchy():
         isolation_ok &= bool(
             np.array_equal(thresholds(bumped)[:k_seen], tau[:k_seen])
         )
-        probs = ProbMatrix(rng.dirichlet(np.ones(k), size=8).T)
-        pseudo = make_pseudo_batch(state, probs)
+        probs = rng.dirichlet(np.ones(k), size=8).T
+        pseudo = make_pseudo_batch(probs, tau)
         retained = np.flatnonzero(pseudo.mask)
         mask_ok &= bool(
             np.all(pseudo.confidences[retained] > tau[pseudo.labels[retained]])
@@ -354,6 +354,11 @@ def default_benchmark(seed: int) -> SyntheticConfig:
     )
 
 
+# run logs of the ten conditional default runs, by seed: C10 trains and
+# stores them, C11 reads them back (and trains any it does not find)
+CONDITIONAL_LOGS = {}
+
+
 def test_c10_debiasing_trajectory():
     start = time.perf_counter()
     epoch1_ok = True
@@ -361,6 +366,7 @@ def test_c10_debiasing_trajectory():
     for seed in range(10):
         data = generate_dataset(default_benchmark(seed))
         _, log = train(data, HyperParams(seed=seed))
+        CONDITIONAL_LOGS[seed] = log
         b_m = [r.b_m for r in log.records]
         b_s = [r.b_s for r in log.records]
         epoch1_ok &= b_s[0] < b_m[0]
@@ -379,7 +385,9 @@ def test_c11_conditioning_helps():
     novel_cond, novel_uncond, all_cond = [], [], []
     for seed in range(10):
         data = generate_dataset(default_benchmark(seed))
-        _, log_c = train(data, HyperParams(seed=seed))
+        if seed not in CONDITIONAL_LOGS:
+            CONDITIONAL_LOGS[seed] = train(data, HyperParams(seed=seed))[1]
+        log_c = CONDITIONAL_LOGS[seed]
         _, log_u = train(data, HyperParams(seed=seed, conditional=False))
         novel_cond.append(log_c.records[-1].acc_novel)
         novel_uncond.append(log_u.records[-1].acc_novel)

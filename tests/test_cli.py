@@ -384,6 +384,19 @@ class TestExitCodes:
         assert result.stderr.startswith("error: no finite cube holds 4 centroids")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "section, field", [("train", "learning_rate"), ("dataset", "strong_noise_sigma")]
+    )
+    def test_diverged_run_is_computation_failure(self, tmp_path, section, field):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config[section][field] = 1e308
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        result = run_cli("train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+        assert result.returncode == 1
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: training diverged at epoch 1, batch ")
+
     def test_eval_length_mismatch(self, tmp_path):
         write_table(tmp_path / "a.csv", [0, 1], "labels")
         write_table(tmp_path / "b.csv", [0, 1, 1], "labels")

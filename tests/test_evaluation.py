@@ -15,6 +15,8 @@ from owssl.core import (
 )
 from owssl.evaluation import (
     EmptySubset,
+    _lloyd,
+    _plus_plus_seeds,
     best_cluster_match,
     clustering_accuracy,
     clustering_report,
@@ -23,9 +25,9 @@ from owssl.evaluation import (
     kmeans,
     manhattan_bias,
 )
-from owssl.harness import SyntheticConfig, generate_dataset
+from owssl.harness import SyntheticConfig, _place_centroids, generate_dataset
 
-from oracles import brute_force_assignment, brute_force_match_accuracy
+from oracles import brute_force_assignment, brute_force_match_accuracy, lloyd_per_centroid
 
 PART = PartitionSpec(4, (0, 1), (2, 3), 4, 4)
 
@@ -214,6 +216,24 @@ class TestKmeans:
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lloyd_matches_per_centroid_oracle_bitwise(self, seed):
+        # C13's shape: 10 clusters of 30 points in 8 dims, k from 5 to 15,
+        # and a seed set with one unreachable centroid, whose cluster empties
+        gen = Rng(113, seed).generator()
+        centroids = _place_centroids(10, 8, 6.0, gen)
+        points = np.concatenate([c + gen.standard_normal((30, 8)) for c in centroids])
+        for k in (5, 10, 15):
+            seeds = _plus_plus_seeds(points, k, gen)
+            far = seeds.copy()
+            far[-1] = 1e6
+            for start in (seeds, far):
+                got = _lloyd(points, start.copy())
+                want = lloyd_per_centroid(points, start.copy())
+                assert got[0].tobytes() == want[0].tobytes()
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
+
 
 class TestEstimateNumClasses:
     def test_recovers_true_count_on_separable_data(self):
@@ -239,7 +259,6 @@ class TestEstimateNumClasses:
             data.labels[labeled_idx],
             range(3, 10),
             Rng(1),
-            restarts=4,
         )
         assert guess == 6
 
@@ -247,7 +266,7 @@ class TestEstimateNumClasses:
         features = np.zeros((20, 3))
         labels = np.zeros(5, dtype=int)
         guess = estimate_num_classes(
-            features, np.arange(5), labels, range(2, 6), Rng(2), restarts=2
+            features, np.arange(5), labels, range(2, 6), Rng(2)
         )
         assert guess == 2
 

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owssl import harness
 from owssl.core import ClassPrior, LabeledBlock, ProbMatrix, Rng, ShapeMismatch
 from owssl.evaluation import manhattan_bias
 from owssl.harness import (
@@ -13,6 +15,7 @@ from owssl.harness import (
     LogitQueue,
     SyntheticConfig,
     ToyModel,
+    TrainingDiverged,
     class_sizes,
     empirical_distribution,
     estimate_prior_adaptive,
@@ -240,6 +243,32 @@ class TestTrain:
         for policy in ("hierarchical", "static", "adaptive-global"):
             _, log = train(data, small_hyper(threshold_policy=policy))
             assert len(log) == 5
+
+    @pytest.mark.parametrize("policy", ["hierarchical", "static", "adaptive-global"])
+    def test_every_policy_pseudo_labels_through_make_pseudo_batch(self, monkeypatch, policy):
+        taus = []
+        real = harness.make_pseudo_batch
+
+        def spy(probs, tau):
+            taus.append(tau)
+            return real(probs, tau)
+
+        monkeypatch.setattr(harness, "make_pseudo_batch", spy)
+        data = generate_dataset(SMALL)
+        train(data, small_hyper(epochs=2, threshold_policy=policy))
+        assert len(taus) == 2 * math.ceil(data.n / 32)
+        if policy == "static":
+            assert all(np.array_equal(tau, np.full(4, 0.95)) for tau in taus)
+
+    @pytest.mark.parametrize(
+        "batch_size, where", [(32, "batch 2"), (1000, "evaluation pass")], ids=["batch", "evaluation"]
+    )
+    def test_divergence_names_epoch_and_step(self, batch_size, where):
+        # the first update overflows the weights; the next logits are not finite
+        data = generate_dataset(SMALL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=f"^training diverged at epoch 1, {where}: "):
+                train(data, small_hyper(learning_rate=1e308, batch_size=batch_size))
 
 
 class TestPriorAdaptation:

@@ -210,8 +210,9 @@ class TestMonteCarloEcs:
 
     def test_chunking_invariant(self):
         spec = WORKED
-        a = monte_carlo_ecs(spec, 5000, Rng(4), chunk_size=1000)
-        b = monte_carlo_ecs(spec, 5000, Rng(4), chunk_size=1000)
+        # three chunks: two full ones and a partial one
+        a = monte_carlo_ecs(spec, 45_000, Rng(4))
+        b = monte_carlo_ecs(spec, 45_000, Rng(4))
         assert a.ecs_con_empirical == b.ecs_con_empirical
 
     def test_con_mean_is_correctly_rounded(self):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owssl.core import PartitionSpec, ProbMatrix, ShapeMismatch
+from owssl.core import PartitionSpec, ShapeMismatch
 from owssl.threshold import (
     DegenerateGroup,
     PseudoBatch,
     ThresholdState,
-    hierarchical_threshold,
     make_pseudo_batch,
     thresholds,
     update_state,
@@ -28,7 +27,7 @@ def state_with(zeta, eta_seen=0.5, eta_novel=0.3, momentum=0.5, partition=PART):
 
 
 def batch_for(columns):
-    return ProbMatrix(np.array(columns, dtype=float).T)
+    return np.array(columns, dtype=float).T
 
 
 class TestUpdateState:
@@ -63,35 +62,29 @@ class TestUpdateState:
     def test_shape_mismatch(self):
         state = state_with([0.2, 0.3, 0.4, 0.5])
         with pytest.raises(ShapeMismatch):
-            update_state(state, ProbMatrix(np.full((3, 2), 1 / 3)))
+            update_state(state, np.full((3, 2), 1 / 3))
 
 
 class TestHierarchicalThreshold:
     def test_single_class_group_gets_group_eta(self):
         part = PartitionSpec(3, (0, 1), (2,), 5, 5)
         state = state_with([0.5, 0.25, 0.7], eta_novel=0.42, partition=part)
-        assert hierarchical_threshold(state, 2) == pytest.approx(0.42)
+        assert thresholds(state)[2] == pytest.approx(0.42)
 
     def test_worked_seen_group(self):
         state = state_with([0.9, 0.6, 0.5, 0.5], eta_seen=0.8)
-        assert hierarchical_threshold(state, 0) == pytest.approx(0.8, abs=1e-9)
-        assert hierarchical_threshold(state, 1) == pytest.approx(0.6 / 0.9 * 0.8, abs=1e-9)
-        assert hierarchical_threshold(state, 1) == pytest.approx(0.53333333333, abs=1e-9)
+        assert thresholds(state)[0] == pytest.approx(0.8, abs=1e-9)
+        assert thresholds(state)[1] == pytest.approx(0.6 / 0.9 * 0.8, abs=1e-9)
+        assert thresholds(state)[1] == pytest.approx(0.53333333333, abs=1e-9)
 
     def test_zero_zeta_class_retains_everything(self):
         state = state_with([0.9, 0.0, 0.5, 0.5])
-        assert hierarchical_threshold(state, 1) == 0.0
+        assert thresholds(state)[1] == 0.0
 
     def test_degenerate_group(self):
         state = state_with([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(DegenerateGroup):
-            hierarchical_threshold(state, 2)
-
-    def test_vector_matches_scalar(self):
-        state = state_with([0.9, 0.6, 0.2, 0.8])
-        tau = thresholds(state)
-        for c in range(4):
-            assert tau[c] == hierarchical_threshold(state, c)
+            thresholds(state)[2]
 
 
 class TestMakePseudoBatch:
@@ -99,21 +92,21 @@ class TestMakePseudoBatch:
         part = PartitionSpec(2, (0,), (1,), 5, 5)
         state = state_with([0.9, 0.9], eta_seen=0.9, eta_novel=0.9, partition=part)
         # tau = (0.9, 0.9)
-        batch = make_pseudo_batch(state, batch_for([[0.95, 0.05]]))
+        batch = make_pseudo_batch(batch_for([[0.95, 0.05]]), thresholds(state))
         assert batch.labels[0] == 0
         assert bool(batch.mask[0]) is True
 
     def test_tie_breaks_to_lowest_index(self):
         part = PartitionSpec(2, (0,), (1,), 5, 5)
         state = state_with([0.5, 0.5], eta_seen=0.4, eta_novel=0.4, partition=part)
-        batch = make_pseudo_batch(state, batch_for([[0.5, 0.5]]))
+        batch = make_pseudo_batch(batch_for([[0.5, 0.5]]), thresholds(state))
         assert batch.labels[0] == 0
         assert bool(batch.mask[0]) is True  # 0.5 > 0.4
 
     def test_strict_inequality_rejects_exact_tie(self):
         part = PartitionSpec(2, (0,), (1,), 5, 5)
         state = state_with([1.0, 1.0], eta_seen=0.5, eta_novel=0.5, partition=part)
-        batch = make_pseudo_batch(state, batch_for([[0.5, 0.5]]))
+        batch = make_pseudo_batch(batch_for([[0.5, 0.5]]), thresholds(state))
         assert bool(batch.mask[0]) is False
 
     def test_elementwise_comparison(self):
@@ -121,7 +114,7 @@ class TestMakePseudoBatch:
         state = state_with([1.0, 1.0], eta_seen=0.9, eta_novel=0.8, partition=part)
         # tau = (0.9, 0.8); confidences (0.95, 0.7, 0.85) at classes (0, 1, 1)
         probs = batch_for([[0.95, 0.05], [0.3, 0.7], [0.15, 0.85]])
-        batch = make_pseudo_batch(state, probs)
+        batch = make_pseudo_batch(probs, thresholds(state))
         np.testing.assert_array_equal(batch.labels, [0, 1, 1])
         np.testing.assert_array_equal(batch.mask, [True, False, True])
 
@@ -129,11 +122,15 @@ class TestMakePseudoBatch:
         rng = np.random.default_rng(0)
         part = PartitionSpec(5, (0, 1, 2), (3, 4), 10, 10)
         state = state_with(rng.uniform(0.1, 1.0, size=5), 0.6, 0.4, partition=part)
-        probs = ProbMatrix(rng.dirichlet(np.ones(5), size=40).T)
-        batch = make_pseudo_batch(state, probs)
+        probs = rng.dirichlet(np.ones(5), size=40).T
         tau = thresholds(state)
+        batch = make_pseudo_batch(probs, tau)
         for i in np.flatnonzero(batch.mask):
             assert batch.confidences[i] > tau[batch.labels[i]]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            make_pseudo_batch(np.full((3, 2), 1 / 3), np.full(4, 0.5))
 
 
 @st.composite
@@ -155,34 +152,35 @@ class TestHierarchyProperties:
     @settings(max_examples=200, deadline=None)
     @given(random_states())
     def test_tau_bounded_by_group_eta(self, state):
-        for group, eta in ((state.partition.seen, state.eta_seen),
-                           (state.partition.novel, state.eta_novel)):
-            peak = state.zeta[list(group)].max()
-            if peak <= 0:
-                continue
+        groups = ((state.partition.seen, state.eta_seen), (state.partition.novel, state.eta_novel))
+        peaks = [state.zeta[list(group)].max() for group, _ in groups]
+        if min(peaks) <= 0:
+            with pytest.raises(DegenerateGroup):
+                thresholds(state)
+            return
+        tau = thresholds(state)
+        for (group, eta), peak in zip(groups, peaks):
             for c in group:
-                tau = hierarchical_threshold(state, c)
-                assert tau <= eta
-                attains = state.zeta[c] == peak
+                assert tau[c] <= eta
                 if eta > 0:
                     # zeta/peak is exactly 1.0 when attained, strictly below
                     # 1.0 otherwise, so the comparison is exact
-                    assert (tau == eta) == attains
+                    assert (tau[c] == eta) == (state.zeta[c] == peak)
 
     @settings(max_examples=100, deadline=None)
     @given(random_states(), st.floats(0.0, 1.0))
     def test_monotone_in_zeta(self, state, bump):
         c = 0
-        peak = state.zeta[list(state.partition.seen)].max()
-        if peak <= 0:
+        part = state.partition
+        if any(state.zeta[list(group)].max() <= 0 for group in (part.seen, part.novel)):
             return
-        before = hierarchical_threshold(state, c)
+        before = thresholds(state)[c]
         raised = state.zeta.copy()
         raised[c] = min(1.0, raised[c] + bump)
         bumped = ThresholdState(
             raised, state.eta_seen, state.eta_novel, state.momentum, state.partition
         )
-        assert hierarchical_threshold(bumped, c) >= before - 1e-12
+        assert thresholds(bumped)[c] >= before - 1e-12
 
     def test_group_isolation(self):
         rng = np.random.default_rng(7)
@@ -191,7 +189,7 @@ class TestHierarchyProperties:
         probs = batch_for([[0.9, 0.1, 0.0, 0.0], [0.6, 0.4, 0.0, 0.0]])
         new = update_state(state, probs)
         for c in state.partition.novel:
-            assert hierarchical_threshold(new, c) == hierarchical_threshold(state, c)
+            assert thresholds(new)[c] == thresholds(state)[c]
 
     def test_single_group_identical_zeta_reduces_to_global(self):
         part = PartitionSpec(4, (0, 1, 2, 3), (), 5, 5)
