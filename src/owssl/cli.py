@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, replace
@@ -238,6 +239,14 @@ def _check_fields(payload, cls, section: str) -> None:
         # bool subclasses int: only a bool fills a bool field, and a bool fills no other
         if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
             raise UsageError(f"{section} config field {name!r} must be {kind}, got {value!r}")
+        # json reads a number past the float range as inf (1e400) or as an int
+        # no float holds (400 digits); either would fail only deep inside a run
+        try:
+            finite = kind not in ("int", "float") or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise UsageError(f"{section} config field {name!r} is past the float range")
 
 
 def _dataset_config(payload: dict) -> harness.SyntheticConfig:
@@ -297,7 +306,7 @@ def _write_plot_data(outdir: Path, log: harness.RunLog) -> None:
 
 
 _ABLATION_GRID = (
-    # (conditional, confidence, hierarchical-thresholds)
+    # (name, conditional, confidence, hierarchical-thresholds)
     ("base", False, False, False),
     ("conditional", True, False, False),
     ("conditional+confidence", True, True, False),

@@ -197,8 +197,9 @@ class Rng:
     """Counter-based random stream keyed by (seed, stream).
 
     Identical (seed, stream) pairs reproduce identical draw sequences;
-    `derive` yields statistically independent sibling streams, which lets
-    parallel trials stay deterministic regardless of scheduling.
+    `derive` yields statistically independent sibling streams, so each
+    consumer (a Monte Carlo chunk, a k-means restart, a training noise
+    source) draws from its own stream, whatever the others drew.
     """
 
     seed: int

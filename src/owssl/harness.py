@@ -362,10 +362,12 @@ def self_label_bias(
     The assignment's column mean converges to its row-marginal budget, so the
     bias is computed from that limit directly: pinned labeled counts plus the
     clamped residual marginals for the conditional route, the bare prior for
-    the unconditional route. The reference is the ground truth of the columns
-    the assignment covers. This is the estimator-bias view of the assignment:
-    the conditional route is unbiased when the prior matches the data, while
-    the unconditional route keeps the full prior-vs-unlabeled gap.
+    the unconditional route. The reference is the ground truth of
+    `truth_labels`: `train` passes every label for the conditional route and
+    the unlabeled ones for the unconditional route. This is the
+    estimator-bias view of the assignment: the conditional route is unbiased
+    when the prior matches the data, while the unconditional route keeps the
+    full prior-vs-unlabeled gap.
     """
     truth_labels = np.asarray(truth_labels, dtype=np.int64)
     if labeled is None or labeled.n == 0:
@@ -382,7 +384,8 @@ def _solve_queue(queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, n_ba
     """Self-labels for the newest `n_batch` queue columns, in insertion order.
 
     Labeled columns (tag >= 0) are pinned; a queue of unlabeled columns only
-    gets an empty block, which solves bitwise as the unconditional problem.
+    (every column of an unconditional run) gets an empty block, which solves
+    bitwise as the unconditional problem.
     """
     p_q, tags_q = queue.matrix()
     order = np.argsort(tags_q < 0, kind="stable")  # labeled first, order preserved
@@ -394,12 +397,14 @@ def _solve_queue(queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, n_ba
     return np.take(assignment.q.data, newest, axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunLog]:
     """Run the full training loop and log per-epoch metrics.
 
     The weak and strong view sigmas come from the dataset's generation config.
     Raises TrainingDiverged, naming the epoch and batch, once the model's
-    logits stop being finite.
+    logits stop being finite; numpy's overflow and invalid-value warnings on
+    the way there are silenced, since the error names where it happened.
     """
     part = dataset.partition
     k, dim, n = part.k_total, dataset.dim, dataset.n
@@ -452,33 +457,26 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
 
                 xw = weak_view(x, sigma_weak, gen_noise)
                 probs_w = softmax(model.logits(xw))
-                grad_w = np.zeros_like(probs_w)
                 d_weights = np.zeros_like(model.weights)
                 d_bias = np.zeros_like(model.bias)
 
+                # clustering term against queue-derived self-labels, on the weak
+                # view and the local views of the whole batch; an unconditional
+                # run queues its labeled columns as unlabeled, so nothing is pinned
+                queue.push(probs_w, tags if hyper.conditional else np.full(b, -1))
+                q_batch = _solve_queue(queue, prior, hyper.sinkhorn, b)
+                xls = [local_view(x, sigma_strong, 0.5, gen_noise) for _ in range(hyper.local_views)]
+                cls, g_cls = clustering_loss(
+                    q_batch, [probs_w] + [softmax(model.logits(xl)) for xl in xls]
+                )
+                for xl, g_l in zip(xls, g_cls[1:]):
+                    d_weights += g_l @ (xl / scale)
+                    d_bias += g_l.sum(axis=1)
+
                 # supervised term on the labeled part of the batch
                 sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
+                grad_w = g_cls[0]
                 grad_w[:, is_lab] += g_sup
-
-                # clustering term against queue-derived self-labels, on the weak
-                # view and the local views
-                cov = np.arange(b) if hyper.conditional else np.flatnonzero(~is_lab)
-                cls = 0.0
-                if cov.size:
-                    probs_cov = probs_w[:, cov]
-                    queue.push(probs_cov, tags[cov])
-                    q_batch = _solve_queue(queue, prior, hyper.sinkhorn, cov.size)
-                    xls = [
-                        local_view(x[cov], sigma_strong, 0.5, gen_noise)
-                        for _ in range(hyper.local_views)
-                    ]
-                    cls, g_cls = clustering_loss(
-                        q_batch, [probs_cov] + [softmax(model.logits(xl)) for xl in xls]
-                    )
-                    grad_w[:, cov] += g_cls[0]
-                    for xl, g_l in zip(xls, g_cls[1:]):
-                        d_weights += g_l @ (xl / scale)
-                        d_bias += g_l.sum(axis=1)
 
                 # confidence term on strong views of the whole batch
                 conf = 0.0

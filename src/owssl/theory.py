@@ -174,10 +174,21 @@ def ecs_con_closed(spec: PopulationSpec) -> float:
 def ecs_ordering_condition(spec: PopulationSpec) -> bool:
     """Sufficient condition for the conditional ECS to be the smaller one.
 
-    With r_i = Nl*pl_i/N and r = sum r_i, requires BOTH
-    sqrt(Nu) * |r_i - r*pu_i| > 1 for every labeled class i AND
-    sqrt(Nu) * r*p_j > 1 for every class j present in the unlabeled data.
+    With r_i = Nl*pl_i/N and r = sum r_i, requires ALL of
+    sqrt(Nu) * |r_i - r*pu_i| > 1 for every labeled class i,
+    sqrt(Nu) * r*p_j > 1 for every class j present in the unlabeled data, and
+    Nl * max_i pl_i*(1 - pl_i) <= Nu (implied by Nl <= 4*Nu).
     False whenever Nl = 0 (the reciprocal diverges).
+
+    Proof that these suffice: p_i - pu_i = r_i - r*pu_i exactly, so
+    ECS_uncon = Nu * sum (r_i - r*pu_i)^2 / pu_i, and the labeled clause
+    gives ECS_uncon > sum over labeled i of 1/pu_i. ECS_con =
+    sum Nl*pl_i*(1 - pl_i) / (Nu*pu_i) is at most
+    (Nl * max_i pl_i*(1 - pl_i) / Nu) * sum over labeled i of 1/pu_i, and
+    the last hypothesis keeps that factor at most 1, so ECS_con < ECS_uncon.
+    Without it the clauses do not suffice when Nl dwarfs Nu:
+    pl = (0.3858, 0.6142), pu = (0.5317, 0.4683), Nl = 411, Nu = 65 meets
+    both clauses, yet ECS_con = 6.017 > ECS_uncon = 4.143.
 
     Reading the quantifier as "for every (i, j) pair, the max beats the
     threshold" would only require one of the two clauses, which admits
@@ -199,7 +210,11 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
     a = np.abs(r_i - r * pu)[labeled_set]
     b = (r * p)[unlabeled_set]
     root = math.sqrt(spec.n_unlabeled)
-    return root * float(a.min()) > 1.0 and root * float(b.min()) > 1.0
+    return (
+        root * float(a.min()) > 1.0
+        and root * float(b.min()) > 1.0
+        and spec.n_labeled * float((pl * (1.0 - pl)).max()) <= spec.n_unlabeled
+    )
 
 
 _CHUNK = 20_000  # Monte Carlo trials per derived random stream

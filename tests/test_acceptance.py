@@ -68,6 +68,14 @@ def random_population(rng) -> PopulationSpec:
     return PopulationSpec(pl, pu, n_labeled, n_unlabeled)
 
 
+def ordering_population(rng) -> PopulationSpec:
+    """`random_population`'s priors with Nl and Nu drawn independently, so Nl > Nu half the time."""
+    k = int(rng.integers(2, 7))
+    pl = ClassPrior(rng.dirichlet(np.full(k, 2.0)))
+    pu = ClassPrior.normalized(rng.dirichlet(np.full(k, 2.0)) + 0.02)
+    return PopulationSpec(pl, pu, int(rng.integers(10, 3000)), int(rng.integers(1, 3000)))
+
+
 def test_c01_sinkhorn_feasibility():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
@@ -217,7 +225,7 @@ def test_c06_ecs_ordering():
     true_count = 0
     violations = []
     for _ in range(200):
-        spec = random_population(rng)
+        spec = ordering_population(rng)
         if ecs_ordering_condition(spec):
             true_count += 1
             if ecs_con_closed(spec) > ecs_uncon_closed(spec):

@@ -16,6 +16,7 @@ from make_goldens import build_note
 from oracles import sinkhorn_extended
 
 GOLDEN = Path(__file__).parent / "golden"
+DIGITS_400 = "1" + "0" * 400  # an int literal no float holds
 
 
 def run_cli(*args, cwd=None):
@@ -385,6 +386,32 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "command, section, field, literal",
+        [
+            ("train", "dataset", "strong_noise_sigma", "1e400"),
+            ("gen-data", "dataset", "strong_noise_sigma", "1e400"),
+            ("train", "train", "learning_rate", "1e999"),
+            ("train", "train", "learning_rate", DIGITS_400),
+            ("train", "dataset", "cluster_separation", DIGITS_400),
+            ("gen-data", "dataset", "cluster_separation", DIGITS_400),
+            ("train", "dataset", "samples_per_class", DIGITS_400),
+            ("gen-data", "dataset", "samples_per_class", DIGITS_400),
+            ("train", "dataset", "k_total", DIGITS_400),
+            ("gen-data", "dataset", "k_total", DIGITS_400),
+            ("train", "train", "batch_size", DIGITS_400),
+        ],
+        ids=lambda v: "400-digits" if v == DIGITS_400 else v,
+    )
+    def test_number_past_float_range_is_usage_error(self, tmp_path, command, section, field, literal):
+        # json reads 1e400 as inf and keeps a 400-digit int exact
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config[section][field] = "@"
+        (tmp_path / "cfg.json").write_text(json.dumps(config).replace('"@"', literal))
+        result = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {section} config field {field!r} is past the float range\n"
+
+    @pytest.mark.parametrize(
         "section, field", [("train", "learning_rate"), ("dataset", "strong_noise_sigma")]
     )
     def test_diverged_run_is_computation_failure(self, tmp_path, section, field):
@@ -393,9 +420,8 @@ class TestExitCodes:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         result = run_cli("train", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
         assert result.returncode == 1
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1
-        assert errors[0].startswith("error: training diverged at epoch 1, batch ")
+        # one line: no numpy warnings above it
+        assert re.fullmatch(r"error: training diverged at epoch 1, batch \d+: [^\n]*\n", result.stderr)
 
     def test_eval_length_mismatch(self, tmp_path):
         write_table(tmp_path / "a.csv", [0, 1], "labels")

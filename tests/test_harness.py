@@ -260,15 +260,36 @@ class TestTrain:
         if policy == "static":
             assert all(np.array_equal(tau, np.full(4, 0.95)) for tau in taus)
 
+    def test_both_variants_queue_every_column(self, monkeypatch):
+        # conditioning only pins: an unconditional run queues the same columns, tagged -1
+        pushes = {}
+        real = LogitQueue.push
+        data = generate_dataset(SMALL)
+        for conditional in (True, False):
+            calls = pushes[conditional] = []
+
+            def spy(queue, probs, tags):
+                calls.append((np.array(probs), np.array(tags)))
+                real(queue, probs, tags)
+
+            monkeypatch.setattr(LogitQueue, "push", spy)
+            train(data, small_hyper(epochs=1, conditional=conditional))
+        sizes = [min(32, data.n - start) for start in range(0, data.n, 32)]
+        for conditional, calls in pushes.items():
+            assert [tags.size for _, tags in calls] == sizes
+            assert all(probs.shape == (4, tags.size) for probs, tags in calls)
+        assert pushes[True][0][0].tobytes() == pushes[False][0][0].tobytes()
+        assert all((tags == -1).all() for _, tags in pushes[False])
+        assert any((tags >= 0).any() for _, tags in pushes[True])
+
     @pytest.mark.parametrize(
         "batch_size, where", [(32, "batch 2"), (1000, "evaluation pass")], ids=["batch", "evaluation"]
     )
     def test_divergence_names_epoch_and_step(self, batch_size, where):
         # the first update overflows the weights; the next logits are not finite
         data = generate_dataset(SMALL)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match=f"^training diverged at epoch 1, {where}: "):
-                train(data, small_hyper(learning_rate=1e308, batch_size=batch_size))
+        with pytest.raises(TrainingDiverged, match=f"^training diverged at epoch 1, {where}: "):
+            train(data, small_hyper(learning_rate=1e308, batch_size=batch_size))
 
 
 class TestPriorAdaptation:

@@ -181,6 +181,13 @@ class TestEcsOrderingCondition:
         assert ecs_ordering_condition(spec_of([0.5, 0.5], [0.3, 0.7], 80, 400)) is False
         assert ecs_ordering_condition(spec_of([0.5, 0.5], [0.3, 0.7], 200, 1000)) is True
 
+    def test_labeled_count_dwarfing_unlabeled_count_is_false(self):
+        # both deviation clauses hold, yet the ordering fails: Nl*max pl(1-pl) > Nu
+        spec = spec_of([0.3858, 0.6142], [0.5317, 0.4683], 411, 65)
+        assert ecs_con_closed(spec) == pytest.approx(6.017, abs=1e-3)
+        assert ecs_uncon_closed(spec) == pytest.approx(4.143, abs=1e-3)
+        assert ecs_ordering_condition(spec) is False
+
 
 class TestMonteCarloEcs:
     def test_matching_uniform_priors(self):
