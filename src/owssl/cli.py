@@ -88,41 +88,56 @@ _LAYOUTS = {
 
 def write_table(path, data, layout: str) -> None:
     """Write a table, one row per line: K x N class rows, N x D sample rows,
-    or the single row of a prior (K floats) or of labels (N ints)."""
+    or the single row of a prior (K floats) or of labels (N ints). Each row is
+    formatted and written on its own, so the whole text is never held."""
     rows_key, cols_key, kind, trailer = _LAYOUTS[layout]
     data = np.atleast_2d(np.asarray(data, dtype=kind))
     dims = f"{rows_key}={data.shape[0]} " if rows_key else ""
-    lines = [f"# {dims}{cols_key}={data.shape[1]} layout={layout}{trailer}"]
-    lines.extend(",".join(map(repr, row)) for row in data.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"# {dims}{cols_key}={data.shape[1]} layout={layout}{trailer}\n")
+        for row in data:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_table(path, layout: str) -> np.ndarray:
     """Read a table written by `write_table` as a 2-D array (one row for a prior
-    or labels), checking its layout, its line count and each line's values."""
+    or labels), checking its layout, its line count and each line's values.
+
+    The array is allocated from the header's dimensions and filled one line at
+    a time, so the first fault in file order is the one reported: a bad value
+    on a declared row comes before a wrong row count."""
     rows_key, cols_key, kind, _ = _LAYOUTS[layout]
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ParseError(path, 1, "empty file")
-    fields = _parse_header(path, text[0], layout)
-    try:
-        n_rows = int(fields[rows_key]) if rows_key else 1
-        n_cols = int(fields[cols_key])
-    except (KeyError, ValueError) as exc:
-        keys = f"{rows_key}/{cols_key}" if rows_key else cols_key
-        raise ParseError(path, 1, f"bad {keys} in header: {exc}") from exc
-    if len(text) - 1 != n_rows:
-        raise ParseError(path, len(text), f"expected {n_rows} rows, found {len(text) - 1}")
-    rows = []
-    for i, line in enumerate(text[1:], start=2):
-        parts = line.split(",") if line else []
-        if len(parts) != n_cols:
-            raise ParseError(path, i, f"expected {n_cols} columns, found {len(parts)}")
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise ParseError(path, 1, "empty file")
+        fields = _parse_header(path, header, layout)
         try:
-            rows.append([kind(v) for v in parts])
-        except ValueError as exc:
-            raise ParseError(path, i, str(exc)) from exc
-    return np.asarray(rows, dtype=kind)
+            n_rows = int(fields[rows_key]) if rows_key else 1
+            n_cols = int(fields[cols_key])
+            table = np.empty((n_rows, n_cols), dtype=kind)
+        except (KeyError, ValueError, MemoryError) as exc:
+            keys = f"{rows_key}/{cols_key}" if rows_key else cols_key
+            raise ParseError(path, 1, f"bad {keys} in header: {exc}") from exc
+        n_lines = 1
+        for n_lines, line in enumerate(fh, start=2):
+            row = n_lines - 2
+            if row == n_rows:
+                n_lines += sum(1 for _ in fh)  # lines past the stated rows are counted, not parsed
+                break
+            line = line.rstrip("\n")
+            parts = line.split(",") if line else []
+            if len(parts) != n_cols:
+                raise ParseError(path, n_lines, f"expected {n_cols} columns, found {len(parts)}")
+            try:
+                table[row] = [kind(v) for v in parts]
+            except ValueError as exc:
+                raise ParseError(path, n_lines, str(exc)) from exc
+            except OverflowError as exc:
+                raise ParseError(path, n_lines, f"integer out of range for {table.dtype}") from exc
+    if n_lines - 1 != n_rows:
+        raise ParseError(path, n_lines, f"expected {n_rows} rows, found {n_lines - 1}")
+    return table
 
 
 def _write_json(path, payload: dict) -> None:
@@ -134,10 +149,15 @@ def _load_json(path) -> dict:
         # Python's json reads these; RFC 8259 JSON has no such numbers
         raise UsageError(f"{path}: {token} is not a JSON number")
 
+    text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text(), parse_constant=refuse)
+        return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
+    except ValueError as exc:
+        # json's one other ValueError: an int literal past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"{path}: an integer has more than {limit} digits") from exc
 
 
 def _from_file(path, build, values):
@@ -249,31 +269,21 @@ def _check_fields(payload, cls, section: str) -> None:
             raise UsageError(f"{section} config field {name!r} is past the float range")
 
 
-def _dataset_config(payload: dict) -> harness.SyntheticConfig:
-    _check_fields(payload, harness.SyntheticConfig, "dataset")
-    return harness.SyntheticConfig(**payload)
-
-
-def _hyper_params(payload: dict) -> harness.HyperParams:
-    _check_fields(payload, harness.HyperParams, "train")
-    sk = payload.get("sinkhorn", {})
-    _check_fields(sk, SinkhornConfig, "sinkhorn")
-    return harness.HyperParams(**{**payload, "sinkhorn": SinkhornConfig(**sk)})
-
-
-def _load_config(path) -> dict:
+def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams, list[int]]:
+    """Check the whole run config, so `gen-data` and `train` refuse the same files."""
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    return payload
-
-
-def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams, list[int]]:
-    payload = _load_config(path)
-    data_cfg = _dataset_config(payload.get("dataset", {}))
-    hyper = _hyper_params(payload.get("train", {}))
+    dataset = payload.get("dataset", {})
+    _check_fields(dataset, harness.SyntheticConfig, "dataset")
+    data_cfg = harness.SyntheticConfig(**dataset)
+    train = payload.get("train", {})
+    _check_fields(train, harness.HyperParams, "train")
+    sk = train.get("sinkhorn", {})
+    _check_fields(sk, SinkhornConfig, "sinkhorn")
+    hyper = harness.HyperParams(**{**train, "sinkhorn": SinkhornConfig(**sk)})
     seeds = payload.get("seeds", [hyper.seed])
     if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise UsageError(f"config field 'seeds' must be a list of int, got {seeds!r}")
@@ -367,8 +377,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _dataset_config(_load_config(args.config).get("dataset", {}))
-    dataset = harness.generate_dataset(cfg)
+    data_cfg, _, _ = _load_run_config(args.config)
+    dataset = harness.generate_dataset(data_cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_table(outdir / "features.csv", dataset.features, "sample-rows")
@@ -438,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=cmd_eval)
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
-    gen.add_argument("--config", required=True, help="run config JSON (dataset section)")
+    gen.add_argument("--config", required=True, help="run config JSON (writes its dataset)")
     gen.add_argument("--outdir", required=True)
     gen.set_defaults(func=cmd_gen_data)
 

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,15 @@ class TestFormats:
             ("prior", "# layout=prior\n0.5,0.5\n", 1, "bad k in header: 'k'"),
             ("labels", "# n=3 layout=labels indexing=0-based\n0,1\n", 2,
              "expected 3 columns, found 2"),
+            ("labels", "# n=2 layout=labels indexing=0-based\n0,99999999999999999999\n", 2,
+             "integer out of range for int64"),
+            # lines are read in order: a fault on a stated row comes before a wrong row count
+            ("class-rows", "# k=3 n=2 layout=class-rows\n0.5,nope\n0.5,0.5\n", 2,
+             "could not convert string to float: 'nope'"),
+            ("class-rows", "# k=1 n=2 layout=class-rows\n0.5,nope\n0.5,0.5\n", 2,
+             "could not convert string to float: 'nope'"),
+            ("class-rows", "# k=2 n=2 layout=class-rows\n0.5\n0.5,0.5\n0.5,0.5\n", 2,
+             "expected 2 columns, found 1"),
         ],
     )
     def test_table_errors_name_line_and_cause(self, tmp_path, layout, text, line, message):
@@ -105,6 +115,45 @@ class TestFormats:
         path.write_text("# k=2 n=1 layout=prior\n1.0\n0.0\n")
         with pytest.raises(ParseError):
             read_table(path, "class-rows")
+
+
+class TestStreamedTables:
+    """Tables go through memory one row at a time: the traced peak follows the
+    array, not the text. Formatting or parsing one line of N floats holds about
+    ten times the line's length in Python objects; a reader or writer that
+    holds the whole text peaks near eight times the array's bytes."""
+
+    @staticmethod
+    def table():
+        return np.random.default_rng(2).dirichlet(np.ones(50), size=10_000).T.copy()
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def budget(data, path) -> int:
+        with open(path) as fh:
+            longest = max(len(line) for line in fh)
+        return data.nbytes + 16 * longest
+
+    def test_write_holds_a_few_rows(self, tmp_path):
+        data, path = self.table(), tmp_path / "m.csv"
+        peak = self.traced_peak(lambda: write_table(path, data, "class-rows"))
+        assert peak < self.budget(data, path), (peak, data.nbytes)
+
+    def test_read_holds_the_array_and_a_few_rows(self, tmp_path):
+        data, path = self.table(), tmp_path / "m.csv"
+        write_table(path, data, "class-rows")
+        back = []
+        peak = self.traced_peak(lambda: back.append(read_table(path, "class-rows")))
+        assert peak < self.budget(data, path), (peak, data.nbytes)
+        assert back[0].tobytes() == data.tobytes()
 
 
 class TestStartup:
@@ -327,13 +376,15 @@ class TestExitCodes:
             ("prior", "# k=2 layout=prior\n0.5,0.5\n0.5,0.5\n", True),
             ("prior", "# k=2 layout=prior\n0.0,0.0\n", True),
             ("labels", "# n=1 layout=labels indexing=0-based\n-1\n", True),
+            ("labels", "# n=1 layout=labels indexing=0-based\n99999999999999999999\n", True),
+            ("pred", "# n=2 layout=labels indexing=0-based\n0,99999999999999999999\n", True),
             # the errors below compare two inputs, so they name no one file
             ("pred", "# n=2 layout=labels indexing=0-based\n0,7\n", False),
             ("prior", "# k=3 layout=prior\n0.2,0.3,0.5\n", False),
             ("labels", "# n=3 layout=labels indexing=0-based\n0,1,0\n", False),
         ],
         ids=["column-sum-1.1", "nan", "negative", "negative-prior", "two-row-prior",
-             "zero-mass-prior", "negative-label",
+             "zero-mass-prior", "negative-label", "label-past-int64", "eval-label-past-int64",
              "eval-label-7-of-4", "prior-k-3-of-2", "3-labels-2-columns"],
     )
     def test_malformed_input_is_usage_error(self, tmp_path, name, text, names_file):
@@ -410,6 +461,38 @@ class TestExitCodes:
         result = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
         assert result.returncode == 2
         assert result.stderr == f"error: {section} config field {field!r} is past the float range\n"
+
+    def test_integer_past_python_digit_limit_names_config(self, tmp_path):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        config["dataset"]["k_total"] = "@"
+        (tmp_path / "cfg.json").write_text(json.dumps(config).replace('"@"', "1" * 5001))
+        for command in ("gen-data", "train"):
+            result = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+            assert result.returncode == 2, command
+            assert re.fullmatch(rf"error: {re.escape(str(tmp_path / 'cfg.json'))}: an integer has more "
+                                r"than \d+ digits\n", result.stderr), command
+
+    @pytest.mark.parametrize(
+        "section, field, literal",
+        [
+            ("train", "epochs", '"3"'),
+            ("train", "epochz", "3"),
+            ("train", "learning_rate", "1e400"),
+            ("train", "sinkhorn", '{"epsilom": 0.5}'),
+            (None, "seeds", "5"),
+        ],
+        ids=["string-epochs", "misspelled-field", "learning-rate-1e400", "sinkhorn-field", "seeds-not-list"],
+    )
+    def test_gen_data_refuses_what_train_refuses(self, tmp_path, section, field, literal):
+        config = json.loads((GOLDEN / "run_config.json").read_text())
+        (config[section] if section else config)[field] = "@"
+        (tmp_path / "cfg.json").write_text(json.dumps(config).replace('"@"', literal))
+        results = [run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
+                   for command in ("gen-data", "train")]
+        assert [r.returncode for r in results] == [2, 2]
+        assert results[0].stderr == results[1].stderr
+        assert results[0].stderr.startswith("error: ") and results[0].stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "features.csv").exists()
 
     @pytest.mark.parametrize(
         "section, field", [("train", "learning_rate"), ("dataset", "strong_noise_sigma")]
