@@ -40,8 +40,6 @@ from .theory import (
     ecs_ordering_condition,
 )
 from .evaluation import (
-    MatchResult,
-    clustering_accuracy,
     clustering_report,
     estimate_num_classes,
     hungarian,

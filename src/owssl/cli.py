@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, replace
 from pathlib import Path
 
@@ -99,6 +100,19 @@ def write_table(path, data, layout: str) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+@contextmanager
+def _utf8_errors_named(path):
+    """Report a byte that is not UTF-8 against its file. The decoder reads ahead
+    in chunks, so the line being read when it fails need not hold the bad byte,
+    and its position counts from the chunk: neither is reported."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from exc
+
+
 def read_table(path, layout: str) -> np.ndarray:
     """Read a table written by `write_table` as a 2-D array (one row for a prior
     or labels), checking its layout, its line count and each line's values.
@@ -107,7 +121,7 @@ def read_table(path, layout: str) -> np.ndarray:
     a time, so the first fault in file order is the one reported: a bad value
     on a declared row comes before a wrong row count."""
     rows_key, cols_key, kind, _ = _LAYOUTS[layout]
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, _utf8_errors_named(path):
         header = fh.readline()
         if not header:
             raise ParseError(path, 1, "empty file")
@@ -149,7 +163,8 @@ def _load_json(path) -> dict:
         # Python's json reads these; RFC 8259 JSON has no such numbers
         raise UsageError(f"{path}: {token} is not a JSON number")
 
-    text = Path(path).read_text()
+    with _utf8_errors_named(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
@@ -203,9 +218,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _vector_arg(raw: str, name: str) -> list[float]:
+def _vector_arg(raw: str, name: str, kind=float) -> list:
     try:
-        return [float(v) for v in raw.split(",")]
+        return [kind(v) for v in raw.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad {name} vector {raw!r}: {exc}") from exc
 
@@ -231,7 +246,7 @@ def cmd_theory(args) -> int:
 def cmd_eval(args) -> int:
     pred = read_table(args.pred, "labels")[0]
     truth = read_table(args.truth, "labels")[0]
-    seen = tuple(int(v) for v in args.seen.split(",")) if args.seen else ()
+    seen = tuple(_vector_arg(args.seen, "seen", int)) if args.seen else ()
     novel = tuple(c for c in range(args.k_total) if c not in set(seen))
     partition = PartitionSpec(args.k_total, seen, novel, 0, max(pred.size, 1))
     report = clustering_report(pred, truth, partition)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -113,14 +112,6 @@ def hungarian(cost) -> tuple[np.ndarray, float]:
     return sigma, float(mat[np.arange(mat.shape[0]), sigma].sum())
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Best bijection from predicted cluster indices to ground-truth classes."""
-
-    mapping: np.ndarray
-    matched_accuracy: float
-
-
 def _as_index_vector(values, name: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.int64)
     if vec.ndim != 1:
@@ -128,18 +119,30 @@ def _as_index_vector(values, name: str) -> np.ndarray:
     return vec
 
 
-def _contingency(pred: np.ndarray, truth: np.ndarray, size: int) -> np.ndarray:
-    table = np.zeros((size, size))
-    np.add.at(table, (pred, truth), 1.0)
-    return table
+def _count_table(pred: np.ndarray, truth: np.ndarray, size: int) -> np.ndarray:
+    """table[p, t]: the number of samples predicted p with truth t, as exact float counts."""
+    return np.bincount(pred * size + truth, minlength=size * size).reshape(size, size).astype(np.float64)
 
 
-def best_cluster_match(pred, truth, size: int) -> MatchResult:
-    """Maximize index agreement over all relabelings of the predictions.
+def _best_match(table: np.ndarray) -> tuple[np.ndarray, float]:
+    """The relabelling of the prediction rows that agrees with the most samples, and that count.
 
-    The contingency table is built at `size` x `size` (indices outside the
-    populated block are zero-padded), and the maximization runs through the
-    minimizing solver on negated counts.
+    The maximization runs through the minimizing solver on negated counts.
+    """
+    mapping, neg_total = hungarian(-table)
+    return mapping, -neg_total
+
+
+def clustering_report(pred, truth, partition: PartitionSpec) -> dict:
+    """Seen, novel and all-class accuracies plus the joint mapping, from one count table.
+
+    `seen` is raw index agreement on samples of seen classes (no matching).
+    `all` and `mapping` come from the Hungarian matching of the whole table;
+    `novel` from the matching of the table restricted to novel-class samples,
+    which is the whole table with its seen-class columns zeroed. `seen_joint`
+    re-scores the seen subset under the joint mapping, since either reading
+    of the seen metric is defensible. Every count is an exact integer, so
+    each accuracy is one correctly rounded division.
     """
     pred = _as_index_vector(pred, "pred")
     truth = _as_index_vector(truth, "truth")
@@ -147,64 +150,26 @@ def best_cluster_match(pred, truth, size: int) -> MatchResult:
         raise ShapeMismatch("pred and truth must have equal length")
     if pred.size == 0:
         raise EmptySubset("no samples to match")
-    if pred.min() < 0 or truth.min() < 0 or max(pred.max(), truth.max()) >= size:
-        raise IndexOutOfRange("cluster/class index outside 0..size-1")
-    table = _contingency(pred, truth, size)
-    mapping, neg_total = hungarian(-table)
-    return MatchResult(mapping=mapping, matched_accuracy=-neg_total / pred.size)
-
-
-def clustering_accuracy(pred, truth, mode: str, partition: PartitionSpec) -> float:
-    """Accuracy on the seen, novel, or full subset.
-
-    Seen mode uses raw index agreement on samples whose truth is a seen
-    class (no matching); novel and all modes take the best Hungarian
-    relabeling of the predictions on their subset.
-    """
-    pred = _as_index_vector(pred, "pred")
-    truth = _as_index_vector(truth, "truth")
-    if pred.shape != truth.shape:
-        raise ShapeMismatch("pred and truth must have equal length")
-    if pred.size == 0:
-        raise EmptySubset("no samples to score")
     k = partition.k_total
     if pred.min() < 0 or truth.min() < 0 or max(pred.max(), truth.max()) >= k:
-        raise IndexOutOfRange("class index outside 0..k_total-1")
-    if mode == "seen":
-        keep = partition.is_seen[truth]
-        if not keep.any():
-            raise EmptySubset("no samples from seen classes")
-        return float((pred[keep] == truth[keep]).mean())
-    if mode == "novel":
-        keep = ~partition.is_seen[truth]
-        if not keep.any():
-            raise EmptySubset("no samples from novel classes")
-        return best_cluster_match(pred[keep], truth[keep], size=k).matched_accuracy
-    if mode == "all":
-        return best_cluster_match(pred, truth, size=k).matched_accuracy
-    raise ValueError(f"unknown mode {mode!r}, expected 'seen', 'novel', or 'all'")
-
-
-def clustering_report(pred, truth, partition: PartitionSpec) -> dict:
-    """Seen/novel/all accuracies plus the joint mapping.
-
-    `seen` is raw index agreement; `seen_joint` re-scores the seen subset
-    under the joint all-class mapping, since either reading of the seen
-    metric is defensible.
-    """
-    pred = _as_index_vector(pred, "pred")
-    truth = _as_index_vector(truth, "truth")
-    joint = best_cluster_match(pred, truth, size=partition.k_total)
-    remapped = joint.mapping[pred]
-    keep = partition.is_seen[truth]
-    report = {
-        "seen": clustering_accuracy(pred, truth, "seen", partition),
-        "novel": clustering_accuracy(pred, truth, "novel", partition),
-        "all": joint.matched_accuracy,
-        "seen_joint": float((remapped[keep] == truth[keep]).mean()) if keep.any() else 0.0,
-        "mapping": [int(c) for c in joint.mapping],
+        raise IndexOutOfRange("cluster/class index outside 0..size-1")
+    table = _count_table(pred, truth, k)
+    seen = partition.is_seen
+    n_seen = table[:, seen].sum()
+    if n_seen == 0:
+        raise EmptySubset("no samples from seen classes")
+    if n_seen == pred.size:
+        raise EmptySubset("no samples from novel classes")
+    mapping, hits = _best_match(table)
+    _, novel_hits = _best_match(np.where(seen, 0.0, table))  # seen-class columns zeroed
+    matched = table[np.arange(k), mapping]  # samples whose truth is their prediction's match
+    return {
+        "seen": float(table.diagonal()[seen].sum() / n_seen),
+        "novel": float(novel_hits / (pred.size - n_seen)),
+        "all": hits / pred.size,
+        "seen_joint": float(matched[seen[mapping]].sum() / n_seen),
+        "mapping": [int(c) for c in mapping],
     }
-    return report
 
 
 def manhattan_bias(dist_a: ClassPrior, dist_b: ClassPrior) -> float:
@@ -301,8 +266,8 @@ def estimate_num_classes(
     """Pick the cluster count whose clustering best matches the labeled subset.
 
     Runs k-means on all features for every candidate k and scores the
-    Hungarian-matched accuracy on the labeled samples; ties break toward
-    the smaller k.
+    number of labeled samples its Hungarian matching agrees with; ties break
+    toward the smaller k.
     """
     pts = np.asarray(features, dtype=np.float64)
     idx = _as_index_vector(labeled_indices, "labeled_indices")
@@ -313,16 +278,18 @@ def estimate_num_classes(
         raise EmptySubset("need at least one labeled sample")
     if idx.min() < 0 or idx.max() >= pts.shape[0]:
         raise IndexOutOfRange("labeled index outside the feature matrix")
+    if lab.min() < 0:
+        raise IndexOutOfRange("labeled class index is negative")
     candidates = sorted(set(int(k) for k in k_candidates))
     if not candidates:
         raise ValueError("k_candidates is empty")
     best_k = candidates[0]
-    best_acc = -1.0
+    best_hits = -1.0
     for pos, k in enumerate(candidates):
         _, labels, _ = kmeans(pts, k, rng.derive(pos))
         size = max(k, int(lab.max()) + 1)
-        acc = best_cluster_match(labels[idx], lab, size=size).matched_accuracy
-        if acc > best_acc:
-            best_acc = acc
+        _, hits = _best_match(_count_table(labels[idx], lab, size))
+        if hits > best_hits:
+            best_hits = hits
             best_k = k
     return best_k

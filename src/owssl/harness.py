@@ -24,7 +24,7 @@ from .core import (
     ShapeMismatch,
     softmax,
 )
-from .evaluation import clustering_accuracy, manhattan_bias
+from .evaluation import clustering_report, manhattan_bias
 from .objectives import clustering_loss, confidence_loss, supervised_loss
 from .sinkhorn import (
     SinkhornConfig,
@@ -527,6 +527,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
         loss_sup = sums["sup"] / n_batches
         loss_cls = sums["cls"] / n_batches
         loss_conf = sums["conf"] / n_batches
+        acc = clustering_report(pred_hard, dataset.labels, part)
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -535,9 +536,9 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
                 loss_conf=loss_conf,
                 loss_total=loss_sup + loss_cls + loss_conf,
                 retained_fraction=sums["retained"] / n_batches,
-                acc_seen=clustering_accuracy(pred_hard, dataset.labels, "seen", part),
-                acc_novel=clustering_accuracy(pred_hard, dataset.labels, "novel", part),
-                acc_all=clustering_accuracy(pred_hard, dataset.labels, "all", part),
+                acc_seen=acc["seen"],
+                acc_novel=acc["novel"],
+                acc_all=acc["all"],
                 b_m=b_m,
                 b_s=b_s,
                 b_gap=abs(b_m - b_s),

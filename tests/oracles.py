@@ -84,6 +84,34 @@ def brute_force_match_accuracy(pred: np.ndarray, truth: np.ndarray, size: int) -
     return best / pred.size
 
 
+def report_per_subset(pred: np.ndarray, truth: np.ndarray, is_seen: np.ndarray, match) -> dict:
+    """A clustering report with every field computed on its own subset.
+
+    Each matched accuracy builds an `np.add.at` count table of its subset at
+    full size and matches it alone through `match`, a minimizing assignment
+    solver returning (sigma, total); `seen` and `seen_joint` are boolean
+    means over the seen subset. Both subsets must be non-empty.
+    """
+    size = is_seen.size
+
+    def matched(p, t):
+        table = np.zeros((size, size))
+        np.add.at(table, (p, t), 1.0)
+        sigma, neg_total = match(-table)
+        return sigma, -neg_total / p.size
+
+    keep = is_seen[truth]
+    mapping, acc_all = matched(pred, truth)
+    _, acc_novel = matched(pred[~keep], truth[~keep])
+    return {
+        "seen": float((pred[keep] == truth[keep]).mean()),
+        "novel": acc_novel,
+        "all": acc_all,
+        "seen_joint": float((mapping[pred][keep] == truth[keep]).mean()),
+        "mapping": [int(c) for c in mapping],
+    }
+
+
 def chi_square_by_class(labeled_counts, budget, expected) -> list[float]:
     """Each trial's float64 chi-square, added class by class in index order.
 

@@ -506,6 +506,39 @@ class TestExitCodes:
         # one line: no numpy warnings above it
         assert re.fullmatch(r"error: training diverged at epoch 1, batch \d+: [^\n]*\n", result.stderr)
 
+    @pytest.mark.parametrize("command", ["solve", "gen-data"])
+    def test_non_utf8_input_names_file(self, tmp_path, command):
+        # the bad byte sits past the decoder's first read-ahead chunk, so a
+        # chunk position or the line being read would both point elsewhere
+        if command == "solve":
+            bad = tmp_path / "p.csv"
+            write_table(bad, np.full((2, 2000), 0.0005), "class-rows")
+            bad.write_bytes(bad.read_bytes()[:-2] + b"\xff\n")
+            write_table(tmp_path / "prior.csv", [0.5, 0.5], "prior")
+            args = ("solve", "--input", str(bad), "--prior", str(tmp_path / "prior.csv"),
+                    "--out", str(tmp_path / "q.csv"), "--report", str(tmp_path / "r.json"))
+        else:
+            bad = tmp_path / "cfg.json"
+            text = json.dumps(json.loads((GOLDEN / "run_config.json").read_text()), indent=2)
+            bad.write_bytes(b" " * 10000 + text.encode()[:-1] + b"\xff}")
+            args = ("gen-data", "--config", str(bad), "--outdir", str(tmp_path / "out"))
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+    def test_bad_seen_vector_names_flag(self, tmp_path):
+        write_table(tmp_path / "a.csv", [0, 1], "labels")
+        result = run_cli(
+            "eval",
+            "--pred", str(tmp_path / "a.csv"),
+            "--truth", str(tmp_path / "a.csv"),
+            "--k-total", "2",
+            "--seen", "0,x",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: bad seen vector '0,x': invalid literal for int() with base 10: 'x'\n"
+
     def test_eval_length_mismatch(self, tmp_path):
         write_table(tmp_path / "a.csv", [0, 1], "labels")
         write_table(tmp_path / "b.csv", [0, 1, 1], "labels")

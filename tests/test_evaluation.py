@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owssl.core import (
@@ -17,8 +17,6 @@ from owssl.evaluation import (
     EmptySubset,
     _lloyd,
     _plus_plus_seeds,
-    best_cluster_match,
-    clustering_accuracy,
     clustering_report,
     estimate_num_classes,
     hungarian,
@@ -27,7 +25,12 @@ from owssl.evaluation import (
 )
 from owssl.harness import SyntheticConfig, _place_centroids, generate_dataset
 
-from oracles import brute_force_assignment, brute_force_match_accuracy, lloyd_per_centroid
+from oracles import (
+    brute_force_assignment,
+    brute_force_match_accuracy,
+    lloyd_per_centroid,
+    report_per_subset,
+)
 
 PART = PartitionSpec(4, (0, 1), (2, 3), 4, 4)
 
@@ -105,56 +108,75 @@ class TestHungarian:
         assert time.perf_counter() - start < 1.0
 
 
+@st.composite
+def labelled_partitions(draw):
+    k = draw(st.integers(1, 6))
+    seen = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    n = draw(st.integers(1, 40))
+    labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    part = PartitionSpec(k, [c for c in range(k) if seen[c]], [c for c in range(k) if not seen[c]], 0, n)
+    return np.array(draw(labels)), np.array(draw(labels)), part
+
+
+def float_bits(report: dict) -> dict:
+    return {key: value.hex() if isinstance(value, float) else value for key, value in report.items()}
+
+
 class TestClusteringAccuracy:
     def test_perfect_predictions(self):
         truth = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        for mode in ("seen", "novel", "all"):
-            assert clustering_accuracy(truth, truth, mode, PART) == 1.0
+        report = clustering_report(truth, truth, PART)
+        for field in ("seen", "novel", "all", "seen_joint"):
+            assert report[field] == 1.0
 
     def test_novel_permutation_absorbed(self):
-        truth = np.array([2, 2, 3, 3])
-        pred = np.array([3, 3, 2, 2])
-        assert clustering_accuracy(pred, truth, "novel", PART) == 1.0
+        truth = np.array([0, 1, 2, 2, 3, 3])
+        pred = np.array([0, 1, 3, 3, 2, 2])
+        assert clustering_report(pred, truth, PART)["novel"] == 1.0
 
     def test_seen_mode_never_matches(self):
-        truth = np.array([0, 0, 1, 1])
-        pred = np.array([1, 1, 0, 0])
-        assert clustering_accuracy(pred, truth, "seen", PART) == 0.0
+        # raw agreement sees the swapped seen classes; the joint mapping absorbs them
+        truth = np.array([0, 0, 1, 1, 2])
+        pred = np.array([1, 1, 0, 0, 2])
+        report = clustering_report(pred, truth, PART)
+        assert report["seen"] == 0.0
+        assert report["seen_joint"] == 1.0
 
     def test_worked_six_sample_fixture(self):
-        part = PartitionSpec(2, (), (0, 1), 0, 6)
-        truth = np.array([0, 0, 0, 1, 1, 1])
-        pred = np.array([1, 1, 0, 0, 0, 0])
-        acc = clustering_accuracy(pred, truth, "novel", part)
+        # six novel samples, plus two of the one seen class
+        part = PartitionSpec(3, (2,), (0, 1), 0, 8)
+        truth = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+        pred = np.array([1, 1, 0, 0, 0, 0, 2, 2])
+        acc = clustering_report(pred, truth, part)["novel"]
         assert acc == pytest.approx(5 / 6)
-        assert acc == pytest.approx(brute_force_match_accuracy(pred, truth, 2))
+        assert acc == pytest.approx(brute_force_match_accuracy(pred[:6], truth[:6], 3))
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(2)
         truth = rng.integers(0, 4, size=30)
         pred = rng.integers(0, 4, size=30)
         relabel = rng.permutation(4)
-        for mode in ("novel", "all"):
-            a = clustering_accuracy(pred, truth, mode, PART)
-            b = clustering_accuracy(relabel[pred], truth, mode, PART)
-            assert a == pytest.approx(b)
+        a = clustering_report(pred, truth, PART)
+        b = clustering_report(relabel[pred], truth, PART)
+        for field in ("novel", "all"):
+            assert a[field] == pytest.approx(b[field])
 
     def test_matches_brute_force_matching(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             truth = rng.integers(0, 4, size=25)
             pred = rng.integers(0, 4, size=25)
-            acc = clustering_accuracy(pred, truth, "all", PART)
+            acc = clustering_report(pred, truth, PART)["all"]
             assert acc == pytest.approx(brute_force_match_accuracy(pred, truth, 4))
 
     def test_empty_subset(self):
         part = PartitionSpec(2, (0,), (1,), 2, 2)
-        with pytest.raises(EmptySubset):
-            clustering_accuracy(np.array([0]), np.array([0]), "novel", part)
+        with pytest.raises(EmptySubset, match="no samples from novel classes"):
+            clustering_report(np.array([0]), np.array([0]), part)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            clustering_accuracy(np.array([9]), np.array([0]), "all", PART)
+            clustering_report(np.array([9]), np.array([0]), PART)
 
     def test_report_contains_both_seen_readings(self):
         truth = np.array([0, 0, 1, 1, 2, 2, 3, 3])
@@ -165,6 +187,36 @@ class TestClusteringAccuracy:
         assert report["all"] == 1.0
         assert report["seen_joint"] == 1.0
         assert sorted(report["mapping"]) == [0, 1, 2, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_partitions())
+    # seen_joint 2/3: seen class 1 merged into class 0's cluster
+    @example((np.array([0, 0, 0, 1]), np.array([0, 0, 1, 2]), PartitionSpec(3, (0, 1), (2,), 0, 4)))
+    @example((np.array([0, 1]), np.array([1, 1]), PartitionSpec(2, (0,), (1,), 0, 2)))
+    @example((np.array([0, 1]), np.array([0, 0]), PartitionSpec(2, (0,), (1,), 0, 2)))
+    def test_equals_per_subset_reference_bitwise(self, case):
+        pred, truth, part = case
+        keep = part.is_seen[truth]
+        if not keep.any():
+            with pytest.raises(EmptySubset, match="no samples from seen classes"):
+                clustering_report(pred, truth, part)
+        elif keep.all():
+            with pytest.raises(EmptySubset, match="no samples from novel classes"):
+                clustering_report(pred, truth, part)
+        else:
+            want = report_per_subset(pred, truth, part.is_seen, hungarian)
+            assert float_bits(clustering_report(pred, truth, part)) == float_bits(want)
+
+    def test_error_order(self):
+        # where it can, each case also fails a later check
+        with pytest.raises(ShapeMismatch):
+            clustering_report(np.array([9]), np.array([2, 3]), PART)
+        with pytest.raises(EmptySubset, match="no samples to match"):
+            clustering_report(np.array([], int), np.array([], int), PART)
+        with pytest.raises(IndexOutOfRange):
+            clustering_report(np.array([9]), np.array([2]), PART)
+        with pytest.raises(EmptySubset, match="no samples from seen classes"):
+            clustering_report(np.array([0]), np.array([2]), PART)
 
 
 class TestManhattanBias:
@@ -206,7 +258,8 @@ class TestKmeans:
         points = np.vstack([c + rng.normal(scale=0.5, size=(30, 2)) for c in centers])
         _, labels, _ = kmeans(points, 3, Rng(0))
         truth = np.repeat([0, 1, 2], 30)
-        assert best_cluster_match(labels, truth, size=3).matched_accuracy == 1.0
+        part = PartitionSpec(3, (0,), (1, 2), 0, truth.size)
+        assert clustering_report(labels, truth, part)["all"] == 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
