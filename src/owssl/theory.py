@@ -12,8 +12,10 @@ verification in `monte_carlo_ecs`.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +222,14 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
 _CHUNK = 20_000  # Monte Carlo trials per derived random stream
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     """Monte Carlo check of unbiasedness and of the closed-form ECS values.
 
@@ -227,12 +237,19 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     estimators, and scores their implied unlabeled counts against the true
     expectation Nu * pu. Trials are split into fixed chunks, each on its own
     derived random stream, so results do not depend on execution order.
+    The chunks run on a pool of threads, one per usable CPU (numpy's
+    multinomial draw, most of a chunk's time, releases the GIL), and the
+    calling thread adds their partial sums in chunk order, so the report is
+    the same bits whatever the CPU count or the scheduling.
     The chi-square sums of each chunk are correctly rounded (`math.fsum`),
     so the ECS mean and its standard error do not depend on the order in
     which a numpy build reduces an array either.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    # imported here: `import owssl.cli`, which every command pays, does not need it
+    from concurrent.futures import ThreadPoolExecutor
+
     closed_uncon = ecs_uncon_closed(spec)
     closed_con = ecs_con_closed(spec)
 
@@ -241,16 +258,9 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     expected_u = spec.n_unlabeled * pu[live]
     budget = spec.n_total * spec.prior.probs
 
-    chi_sum = 0.0
-    chi_sq_sum = 0.0
-    mu_sum = np.zeros(spec.k)
-    mu_sq_sum = np.zeros(spec.k)
-
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        gen = rng.derive(chunk_index).generator()
+    def _chunk(i: int, m: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """Partial sums of chunk i (m trials): chi, chi^2, mu and mu^2."""
+        gen = rng.derive(i).generator()
         if spec.n_labeled == 0:
             counts = np.zeros((m, spec.k))
         else:
@@ -260,12 +270,34 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
         mu = a_con / spec.n_unlabeled
         # not chi.sum(): numpy groups the terms of a contiguous sum by build
         # and CPU, which can move the last digit of the mean
-        chi_sum += math.fsum(chi.tolist())
-        chi_sq_sum += math.fsum(np.square(chi).tolist())
-        mu_sum += mu.sum(axis=0)
-        mu_sq_sum += np.square(mu).sum(axis=0)
-        done += m
-        chunk_index += 1
+        return (math.fsum(chi.tolist()), math.fsum(np.square(chi).tolist()),
+                mu.sum(axis=0), np.square(mu).sum(axis=0))
+
+    chi_sum = 0.0
+    chi_sq_sum = 0.0
+    mu_sum = np.zeros(spec.k)
+    mu_sq_sum = np.zeros(spec.k)
+
+    starts = range(0, trials, _CHUNK)
+    workers = min(_usable_cpus(), len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def in_order():
+            # pool.map would queue a future (about 2 KB) for every chunk at
+            # once; this window keeps two per worker in flight
+            window = collections.deque()
+            for i, start in enumerate(starts):
+                window.append(pool.submit(_chunk, i, min(_CHUNK, trials - start)))
+                if len(window) > 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+
+        for c_sum, c_sq_sum, m_sum, m_sq_sum in in_order():
+            chi_sum += c_sum
+            chi_sq_sum += c_sq_sum
+            mu_sum += m_sum
+            mu_sq_sum += m_sq_sum
 
     def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
         mean = total / count

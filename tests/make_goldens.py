@@ -18,6 +18,7 @@ a failing comparison prints it next to `build_fingerprint()`.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -25,7 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).parent))
+# the package is read from this checkout's src/, installed or not, here and
+# in the `python -m owssl` subprocesses (as tests/conftest.py does for the tests)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path[:0] = [SRC, str(Path(__file__).parent)]
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_BUILD = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0"
@@ -55,8 +59,9 @@ def build_note(name: str) -> str:
 
 
 def cli(*args: str, cwd=None) -> None:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
-        [sys.executable, "-m", "owssl", *args], cwd=cwd, capture_output=True, text=True
+        [sys.executable, "-m", "owssl", *args], cwd=cwd, env=env, capture_output=True, text=True
     )
     if result.returncode != 0:
         raise RuntimeError(f"owssl {' '.join(args)} failed: {result.stderr}")

@@ -4,12 +4,14 @@ Kept deliberately separate from the library code paths: extended-precision
 multiplicative scaling instead of log-domain float64, factorial brute force
 instead of the assignment solver, exhaustive enumeration instead of the
 entropic relaxation, finite differences instead of the analytic gradient,
-exact rational sums instead of numpy's floating-point reductions.
+exact rational sums instead of numpy's floating-point reductions, a serial
+loop instead of the Monte Carlo thread pool.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +134,70 @@ def chi_square_by_class(labeled_counts, budget, expected) -> list[float]:
 def exact_chi_square_sum(labeled_counts, budget, expected) -> Fraction:
     """Exact rational sum over trials of each trial's float64 chi-square."""
     return sum(map(Fraction, chi_square_by_class(labeled_counts, budget, expected)), Fraction(0))
+
+
+def monte_carlo_ecs_serial(spec, trials: int, rng):
+    """`theory.monte_carlo_ecs` as one loop over its chunks, in chunk order.
+
+    The package computes the chunks on a thread pool and adds their partial
+    sums in chunk order on the calling thread; this serial loop adds the
+    same partial sums in the same order, so every report field must match
+    it bit for bit, whatever the number of workers.
+    """
+    from owssl.theory import (
+        EcsReport, chi_square_statistic, ecs_con_closed, ecs_ordering_condition,
+        ecs_uncon_closed, estimator_uncon,
+    )
+
+    chunk = 20_000
+    pu = spec.prior_unlabeled.probs
+    live = pu > 0
+    expected_u = spec.n_unlabeled * pu[live]
+    budget = spec.n_total * spec.prior.probs
+    chi_sum = 0.0
+    chi_sq_sum = 0.0
+    mu_sum = np.zeros(spec.k)
+    mu_sq_sum = np.zeros(spec.k)
+    for index, start in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - start)
+        gen = rng.derive(index).generator()
+        if spec.n_labeled == 0:
+            counts = np.zeros((m, spec.k))
+        else:
+            counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=m)
+        a_con = budget[None, :] - counts
+        chi = chi_square_statistic(a_con[:, live], expected_u)
+        mu = a_con / spec.n_unlabeled
+        chi_sum += math.fsum(chi.tolist())
+        chi_sq_sum += math.fsum(np.square(chi).tolist())
+        mu_sum += mu.sum(axis=0)
+        mu_sq_sum += np.square(mu).sum(axis=0)
+
+    ecs_con_emp = chi_sum / trials
+    ecs_con_se = 0.0
+    if trials > 1:
+        var = max((chi_sq_sum - trials * ecs_con_emp * ecs_con_emp) / (trials - 1), 0.0)
+        ecs_con_se = math.sqrt(var / trials)
+    mu_mean = mu_sum / trials
+    if trials > 1:
+        mu_var = np.maximum((mu_sq_sum - trials * np.square(mu_mean)) / (trials - 1), 0.0)
+        mu_se = np.sqrt(mu_var / trials)
+    else:
+        mu_se = np.zeros(spec.k)
+    a_uncon, _ = estimator_uncon(spec)
+    return EcsReport(
+        ecs_uncon_closed=ecs_uncon_closed(spec),
+        ecs_con_closed=ecs_con_closed(spec),
+        ecs_uncon_empirical=chi_square_statistic(a_uncon[live], expected_u),
+        ecs_uncon_se=0.0,
+        ecs_con_empirical=ecs_con_emp,
+        ecs_con_se=ecs_con_se,
+        bias_uncon=spec.prior.probs - pu,
+        bias_con=mu_mean - pu,
+        bias_con_se=mu_se,
+        ordering_condition=ecs_ordering_condition(spec),
+        trials=trials,
+    )
 
 
 def lse_two_temporaries(arr: np.ndarray, axis: int) -> np.ndarray:

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owssl.cli import ParseError, read_table, write_table
-from owssl.core import ClassPrior
+from owssl.cli import SCHEMA_VERSION, ParseError, _write_json, read_table, write_table
+from owssl.core import ClassPrior, Rng
+from owssl.theory import PopulationSpec
 
 from make_goldens import build_note
-from oracles import sinkhorn_extended
+from oracles import monte_carlo_ecs_serial, sinkhorn_extended
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGITS_400 = "1" + "0" * 400  # an int literal no float holds
@@ -161,6 +162,16 @@ class TestStartup:
         # owssl never imports scipy; this guards start-up against a stray import
         result = subprocess.run(
             [sys.executable, "-c", "import sys, owssl.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_cli_import_leaves_thread_pool_unloaded(self):
+        # `theory` imports concurrent.futures when it runs; start-up does not pay for it
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, owssl.cli; print('concurrent.futures' in sys.modules)"],
             capture_output=True,
             text=True,
         )
@@ -603,6 +614,28 @@ class TestGoldenTheory:
         fresh = strip_elapsed(fresh_text)
         golden = strip_elapsed(golden_text)
         assert fresh == golden, f"keys differing from the golden: {differing_keys(fresh_text, golden_text)}"
+
+    def test_pooled_chunks_write_the_serial_report(self, tmp_path):
+        # four chunks, the last of 5537 trials: the committed golden fills one
+        # chunk, so it never adds partial sums from the pool
+        result = run_cli(
+            "theory",
+            "--prior-labeled", "0.5,0.5",
+            "--prior-unlabeled", "0.3,0.7",
+            "--n-labeled", "20",
+            "--n-unlabeled", "100",
+            "--trials", "65537",
+            "--seed", "7",
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert result.returncode == 0, result.stderr
+        spec = PopulationSpec(ClassPrior(np.array([0.5, 0.5])), ClassPrior(np.array([0.3, 0.7])), 20, 100)
+        serial = monte_carlo_ecs_serial(spec, 65537, Rng(7))
+        _write_json(tmp_path / "serial.json", {"schema_version": SCHEMA_VERSION, **serial.to_dict(),
+                                               "elapsed_seconds": 0.0})
+        fresh_text = (tmp_path / "report.json").read_text()
+        serial_text = (tmp_path / "serial.json").read_text()
+        assert strip_elapsed(fresh_text) == strip_elapsed(serial_text), differing_keys(fresh_text, serial_text)
 
     def test_matching_priors_give_zero_closed_form(self, tmp_path):
         result = run_cli(

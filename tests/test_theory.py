@@ -1,8 +1,12 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from owssl import theory
 from owssl.core import ClassPrior, Rng, ShapeMismatch
 from owssl.theory import (
     CountMismatch,
@@ -18,7 +22,7 @@ from owssl.theory import (
     ecs_ordering_condition,
 )
 
-from oracles import chi_square_by_class, exact_chi_square_sum
+from oracles import chi_square_by_class, exact_chi_square_sum, monte_carlo_ecs_serial
 
 
 def spec_of(pl, pu, nl, nu):
@@ -262,3 +266,83 @@ class TestMonteCarloEcs:
         assert payload["trials"] == 100
         assert isinstance(payload["bias_con"], list)
         assert payload["ordering_condition"] is False
+
+
+def report_bits(report) -> dict:
+    """Each EcsReport field, floats and arrays as their bytes (so -0.0 differs from 0.0)."""
+    bits = {}
+    for name, value in vars(report).items():
+        if isinstance(value, (bool, int)):
+            bits[name] = value
+        else:
+            bits[name] = np.asarray(value, dtype=np.float64).tobytes()
+    return bits
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+# the benchmark's population shape: ten classes, 400 labeled and 1600 unlabeled
+TEN_CLASS = spec_of(np.arange(1.0, 11.0) / 55.0, np.arange(10.0, 0.0, -1.0) / 55.0, 400, 1600)
+
+
+class TestMonteCarloPool:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec, trials", [
+        (TEN_CLASS, 1),
+        (TEN_CLASS, 19_999),
+        (TEN_CLASS, 20_000),
+        (TEN_CLASS, 20_001),
+        (TEN_CLASS, 250_000),
+        (spec_of([0.5, 0.5], [0.3, 0.7], 0, 100), 45_000),
+    ], ids=["1", "19999", "20000", "20001", "250000", "no-labeled"])
+    def test_same_bits_as_serial_loop(self, monkeypatch, spec, trials, workers):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
+        pooled = monte_carlo_ecs(spec, trials, Rng(13))
+        assert report_bits(pooled) == report_bits(monte_carlo_ecs_serial(spec, trials, Rng(13)))
+
+    def test_same_bits_with_more_workers_than_cores(self, monkeypatch):
+        # five workers switching every few microseconds finish chunks out of
+        # order; the report still adds them in chunk order
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = monte_carlo_ecs(TEN_CLASS, 250_000, Rng(14))
+        finally:
+            sys.setswitchinterval(interval)
+        assert report_bits(pooled) == report_bits(monte_carlo_ecs_serial(TEN_CLASS, 250_000, Rng(14)))
+
+    def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(theory.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert theory._usable_cpus() == 3
+        monkeypatch.delattr(theory.os, "sched_getaffinity")
+        monkeypatch.setattr(theory.os, "cpu_count", lambda: None)
+        assert theory._usable_cpus() == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_outlives_a_call(self, monkeypatch, workers):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
+        before = threading.active_count()
+        monte_carlo_ecs(WORKED, 100_000, Rng(8))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_error_reaches_caller_unchanged(self, monkeypatch, workers):
+        # the third chi-square call raises; the caller sees that exception and
+        # no pool thread is left behind
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
+        real = theory.chi_square_statistic
+        calls = itertools.count()  # next() is atomic, so two workers never share a number
+
+        def failing(observed, expected):
+            if next(calls) == 2:
+                raise ChunkFailure("chunk failed")
+            return real(observed, expected)
+
+        monkeypatch.setattr(theory, "chi_square_statistic", failing)
+        before = threading.active_count()
+        with pytest.raises(ChunkFailure, match="^chunk failed$"):
+            monte_carlo_ecs(WORKED, 200_000, Rng(9))
+        assert threading.active_count() == before
