@@ -150,18 +150,22 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
 
 
 def _entropic_plan(
-    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig
-) -> tuple[np.ndarray, int, float]:
+    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig, out: np.ndarray
+) -> tuple[int, float]:
     """Scale exp(log(p)/epsilon) to match row_targets / unit column sums.
 
     Dual potentials are iterated with log-sum-exp reductions so small
     epsilon values cannot underflow. Zero row targets are honored exactly
-    (the corresponding rows of the plan are zero). Returns the plan, the
-    number of row+column update pairs performed, and the final L1 row error
-    (columns are exact by construction after every column update).
+    (the corresponding rows of the plan are zero). Writes the plan into
+    `out` and returns the number of row+column update pairs performed and
+    the final L1 row error (columns are exact by construction after every
+    column update).
     """
     k, n = p_block.shape
-    log_kernel = np.log(np.clip(p_block, PROB_FLOOR, None)) / cfg.epsilon
+    # one contiguous buffer: the clipped copy, its log, then the log / epsilon
+    log_kernel = np.clip(p_block, PROB_FLOOR, None)
+    np.log(log_kernel, out=log_kernel)
+    log_kernel /= cfg.epsilon
     with np.errstate(divide="ignore"):
         log_rows = np.log(row_targets)
     # g differs between columns by at most the kernel's span, and the finite f
@@ -185,7 +189,8 @@ def _entropic_plan(
         iters += 1
     np.add(log_kernel, f[:, None], out=work)
     work += g[None, :]
-    return np.exp(work, out=work), iters, row_err
+    np.exp(work, out=out)
+    return iters, row_err
 
 
 def _check_prior(p: ProbMatrix, prior: ClassPrior) -> None:
@@ -218,8 +223,9 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     solver_err = 0.0
     if n_unlabeled > 0:
         residual = residual_row_marginals(prior, counts, n)
-        plan, iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg)
-        q[:, n_labeled:] = plan
+        iters_used, solver_err = _entropic_plan(
+            p.data[:, n_labeled:], residual, cfg, out=q[:, n_labeled:]
+        )
 
     assignment = ProbMatrix(q)
     row_err, col_err = marginal_error(assignment, n * prior.probs, np.ones(n))

@@ -137,14 +137,16 @@ def estimator_con(spec: PopulationSpec, labeled_counts) -> tuple[np.ndarray, np.
 
     The raw linear estimator is reported unclamped - the distribution
     estimate is its scaling by 1/Nu, negative components included.
+    `labeled_counts` is one count vector or an (m, K) stack of them, one
+    estimate per row.
     """
     counts = np.asarray(labeled_counts)
-    if counts.shape != (spec.k,):
+    if counts.ndim not in (1, 2) or counts.shape[-1:] != (spec.k,):
         raise ShapeMismatch(f"labeled_counts shape {counts.shape} does not match K={spec.k}")
-    if int(counts.sum()) != spec.n_labeled:
-        raise CountMismatch(
-            f"labeled counts sum to {int(counts.sum())}, expected {spec.n_labeled}"
-        )
+    sums = np.atleast_1d(counts.sum(axis=-1))
+    bad = sums != spec.n_labeled
+    if bad.any():
+        raise CountMismatch(f"labeled counts sum to {int(sums[bad][0])}, expected {spec.n_labeled}")
     a = spec.n_total * spec.prior.probs - counts
     return a, a / spec.n_unlabeled
 
@@ -220,6 +222,7 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
 
 
 _CHUNK = 20_000  # Monte Carlo trials per derived random stream
+_BLOCK = 2_000  # trials a chunk draws and scores at a time
 
 
 def _usable_cpus() -> int:
@@ -256,22 +259,36 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     pu = spec.prior_unlabeled.probs
     live = pu > 0
     expected_u = spec.n_unlabeled * pu[live]
-    budget = spec.n_total * spec.prior.probs
 
     def _chunk(i: int, m: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """Partial sums of chunk i (m trials): chi, chi^2, mu and mu^2."""
+        """Partial sums of chunk i (m trials): chi, chi^2, mu and mu^2.
+
+        The trials are drawn and scored _BLOCK at a time from the chunk's
+        one generator (consecutive multinomial draws give the rows of one
+        draw), so a worker holds a few small blocks, not the whole chunk.
+        """
         gen = rng.derive(i).generator()
-        if spec.n_labeled == 0:
-            counts = np.zeros((m, spec.k))
-        else:
-            counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=m)
-        a_con = budget[None, :] - counts
-        chi = chi_square_statistic(a_con[:, live], expected_u)
-        mu = a_con / spec.n_unlabeled
+        chi = np.empty(m)
+        for start in range(0, m, _BLOCK):
+            size = min(_BLOCK, m - start)
+            if spec.n_labeled == 0:
+                counts = np.zeros((size, spec.k))
+            else:
+                counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=size)
+            a_con, mu = estimator_con(spec, counts)
+            chi[start:start + size] = chi_square_statistic(a_con[:, live], expected_u)
+            mu_sq = np.square(mu)
+            if start:
+                # numpy adds the rows of an axis-0 sum one at a time, in row
+                # order: seeding the first row with the running sums continues
+                # that sequence, bit for bit as one sum over the whole chunk
+                mu[0] += mu_sum
+                mu_sq[0] += mu_sq_sum
+            mu_sum = mu.sum(axis=0)
+            mu_sq_sum = mu_sq.sum(axis=0)
         # not chi.sum(): numpy groups the terms of a contiguous sum by build
         # and CPU, which can move the last digit of the mean
-        return (math.fsum(chi.tolist()), math.fsum(np.square(chi).tolist()),
-                mu.sum(axis=0), np.square(mu).sum(axis=0))
+        return math.fsum(chi.tolist()), math.fsum(np.square(chi).tolist()), mu_sum, mu_sq_sum
 
     chi_sum = 0.0
     chi_sq_sum = 0.0

@@ -10,9 +10,10 @@ chi-square values divided by the trial count (checked by
 reports a fault in the summation, not a stale golden; do not regenerate
 it to match one numpy build's reduction order.
 
-The `train` and `solve` goldens hold only within one numpy/BLAS build (see
-the README); `GOLDEN_BUILD` names the build they were last verified on, and
-a failing comparison prints it next to `build_fingerprint()`.
+The `train` and `solve` goldens hold only within one numpy/BLAS build and
+CPU path (see the README); `GOLDEN_BUILD` names the build, numpy's enabled
+SIMD dispatch targets and the OpenBLAS kernel they were last verified on,
+and a failing comparison prints it next to `build_fingerprint()`.
 """
 
 from __future__ import annotations
@@ -32,11 +33,40 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path[:0] = [SRC, str(Path(__file__).parent)]
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_BUILD = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0"
+GOLDEN_BUILD = (
+    "Python 3.11.7, numpy 2.4.6, scipy 1.17.1, scipy-openblas 0.3.31.188.0, "
+    "numpy dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS core SkylakeX"
+)
+
+
+def numpy_dispatch() -> str:
+    """numpy's SIMD dispatch targets that this CPU runs (its exp/log kernels among them)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "baseline only"
+
+
+def openblas_core() -> str:
+    """The kernel family OpenBLAS picked for this CPU, read from the library numpy bundles."""
+    import ctypes
+    import glob
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "libscipy_openblas*.so*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def build_fingerprint() -> str:
-    """Python, numpy, scipy and BLAS versions of this interpreter, as in GOLDEN_BUILD."""
+    """Python, numpy, scipy and BLAS versions and the CPU paths numpy and OpenBLAS take, as in GOLDEN_BUILD."""
     import scipy
 
     try:
@@ -46,7 +76,8 @@ def build_fingerprint() -> str:
         blas_name = "BLAS unknown"
     return (
         f"Python {platform.python_version()}, numpy {np.__version__}, "
-        f"scipy {scipy.__version__}, {blas_name}"
+        f"scipy {scipy.__version__}, {blas_name}, "
+        f"numpy dispatch {numpy_dispatch()}, OpenBLAS core {openblas_core()}"
     )
 
 

@@ -23,7 +23,7 @@ from owssl.harness import (
     generate_dataset,
     train,
 )
-from owssl.objectives import clustering_loss, confidence_loss, supervised_loss
+from owssl.objectives import _colwise_cross_entropy, clustering_loss, confidence_loss, supervised_loss
 from owssl.sinkhorn import SinkhornConfig, solve_conditional, solve_unconditional
 from owssl.theory import (
     PopulationSpec,
@@ -42,7 +42,6 @@ from owssl.threshold import (
 from make_goldens import build_note
 from oracles import (
     brute_force_assignment,
-    central_difference_gradient,
     lp_assignment_values,
     sinkhorn_extended,
 )
@@ -305,17 +304,35 @@ def test_c08_threshold_hierarchy():
 
 
 def test_c09_gradient_check():
-    # the three term gradients `train` descends, each through softmax of its own logits
+    # the three term gradients `train` descends, each through softmax of its own
+    # logits. Each loss is a weighted sum of per-column cross-entropies, so moving
+    # one logit moves one column's term: one softmax and one cross-entropy over
+    # all 2 K b moved columns give every central difference of a case at once.
     rng = np.random.default_rng(109)
-    k, b = 4, 3
+    k, b, h = 4, 3, 1e-5
     worst = {"supervised": 0.0, "clustering": 0.0, "confidence": 0.0}
+    worst_value = 0.0
+    # row s*k + i moves entry i of a column by +h (s = 0) or -h (s = 1)
+    steps = np.concatenate([h * np.eye(k), -h * np.eye(k)])
 
-    def check(term, loss, logits, grad):
-        def flat(z):
-            return loss(softmax(z.reshape(logits.shape)))
+    def check(term, targets, weights, logits, grad):
+        """Compare grad with the central difference; return the weighted terms' sum."""
+        moved = (logits[:, None, :] + steps.T[:, :, None]).reshape(k, -1)
+        tiled = np.broadcast_to(targets[:, None, :], (k, 2 * k, b)).reshape(k, -1)
+        terms = _colwise_cross_entropy(tiled, softmax(moved)).reshape(2, k, b) * weights
+        reference = (terms[0] - terms[1]) / (2 * h)
+        worst[term] = max(worst[term], float(np.abs(grad - reference).max()))
+        return float((weights * _colwise_cross_entropy(targets, softmax(logits))).sum())
 
-        reference = central_difference_gradient(flat, logits.ravel(), h=1e-5)
-        worst[term] = max(worst[term], float(np.abs(grad - reference.reshape(logits.shape)).max()))
+    def match_value(value, total):
+        # the column decomposition reproduces the loss the package computes
+        nonlocal worst_value
+        worst_value = max(worst_value, abs(value - total) / max(1.0, abs(value)))
+
+    def one_hot(labels):
+        out = np.zeros((k, b))
+        out[labels, np.arange(b)] = 1.0
+        return out
 
     counts = dict.fromkeys(worst, 0)
     for case in range(1000):
@@ -324,31 +341,29 @@ def test_c09_gradient_check():
         if term == "supervised":
             labels = rng.integers(0, k, b)
             logits = rng.normal(scale=2.0, size=(k, b))
-            _, grad = supervised_loss(labels, softmax(logits))
-            check(term, lambda p: supervised_loss(labels, p)[0], logits, grad)
+            value, grad = supervised_loss(labels, softmax(logits))
+            match_value(value, check(term, one_hot(labels), np.full(b, 1 / b), logits, grad))
         elif term == "clustering":
             # weak view first, then two local views
             q = rng.dirichlet(np.ones(k), size=b).T
             view_logits = [rng.normal(scale=2.0, size=(k, b)) for _ in range(3)]
-            views = [softmax(z) for z in view_logits]
-            _, grads = clustering_loss(q, views)
-            for v, (z, grad) in enumerate(zip(view_logits, grads)):
-                def loss(p, v=v):
-                    return clustering_loss(q, views[:v] + [p] + views[v + 1 :])[0]
-
-                check(term, loss, z, grad)
+            value, grads = clustering_loss(q, [softmax(z) for z in view_logits])
+            weights = np.full(b, 1 / (len(view_logits) * b))
+            match_value(value, sum(check(term, q, weights, z, grad)
+                                   for z, grad in zip(view_logits, grads)))
         else:
             mask = rng.random(b) < 0.5
             mask[:2] = (False, True)  # at least one rejected and one retained column
             pseudo = PseudoBatch(mask, rng.integers(0, k, b), rng.random(b))
             logits = rng.normal(scale=2.0, size=(k, b))
-            _, grad = confidence_loss(pseudo, softmax(logits))
-            check(term, lambda p: confidence_loss(pseudo, p)[0], logits, grad)
+            value, grad = confidence_loss(pseudo, softmax(logits))
+            match_value(value, check(term, one_hot(pseudo.labels), mask / b, logits, grad))
     report(
         "C9 gradient check",
-        max(worst.values()) <= 1e-6,
+        max(worst.values()) <= 1e-6 and worst_value <= 1e-12,
         "max |analytic - central difference| (<=1e-6) over "
-        + ", ".join(f"{counts[t]} {t} cases {err:.2e}" for t, err in worst.items()),
+        + ", ".join(f"{counts[t]} {t} cases {err:.2e}" for t, err in worst.items())
+        + f"; loss values against their column terms {worst_value:.1e} (<=1e-12)",
     )
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from owssl.cli import SCHEMA_VERSION, ParseError, _write_json, read_table, write
 from owssl.core import ClassPrior, Rng
 from owssl.theory import PopulationSpec
 
-from make_goldens import build_note
+from make_goldens import build_fingerprint, build_note, numpy_dispatch, openblas_core
 from oracles import monte_carlo_ecs_serial, sinkhorn_extended
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -751,6 +752,24 @@ class TestGoldenEval:
         payload = json.loads((GOLDEN / "eval" / "metrics.json").read_text())
         assert payload["novel"] == 1.0
         assert payload["mapping"] == [0, 1, 3, 2]
+
+
+def test_build_fingerprint_names_the_cpu_path():
+    # numpy's SIMD dispatch (its exp/log kernels) and the OpenBLAS kernel move
+    # `train` bytes between CPUs, so a golden failure message names both; a
+    # child process with every enabled target switched off reports none
+    assert build_fingerprint().endswith(
+        f", numpy dispatch {numpy_dispatch()}, OpenBLAS core {openblas_core()}"
+    )
+    enabled = numpy_dispatch()
+    if enabled == "baseline only":
+        return
+    result = subprocess.run(
+        [sys.executable, "-c", "import make_goldens; print(make_goldens.numpy_dispatch())"],
+        cwd=Path(__file__).parent, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": enabled},
+        capture_output=True, text=True,
+    )
+    assert result.stdout.strip() == "baseline only", result.stderr
 
 
 def test_readme_run_config_names_every_field(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,25 @@ class TestConditional:
                                (cols - cols.max(axis=0, keepdims=True)).ravel()])
         assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
         assert np.mean(args <= -745.0) > 0.3
+
+    def test_plan_is_written_into_the_assignment(self):
+        # the solve holds the assignment q (B bytes) and two buffers the size
+        # of its unlabeled block (U bytes each): the log kernel and the work
+        # array. A separate plan, copied into q and alive while ProbMatrix
+        # copies q, would add another U and pass the bound (about 2.9 B).
+        rng = np.random.default_rng(4)
+        k, n, n_labeled = 50, 2000, 500
+        p, prior = random_instance(rng, k, n)
+        block = LabeledBlock(rng.integers(0, k, size=n_labeled))
+        tracemalloc.start()
+        try:
+            out = solve_conditional(p, prior, block, SinkhornConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        b = out.q.data.nbytes
+        u = k * (n - n_labeled) * out.q.data.itemsize
+        assert peak < b + 2 * u + b // 4, (peak, b, u)
 
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)

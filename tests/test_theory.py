@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestEstimators:
     def test_con_counts_must_sum(self):
         with pytest.raises(CountMismatch):
             estimator_con(WORKED, np.array([5, 5]))
+
+    def test_con_stack_is_one_estimate_per_row(self):
+        rng = np.random.default_rng(1)
+        counts = rng.multinomial(20, WORKED.prior_labeled.probs, size=7)
+        a, mu = estimator_con(WORKED, counts)
+        assert a.shape == mu.shape == (7, 2)
+        for row, a_row, mu_row in zip(counts, a, mu):
+            one_a, one_mu = estimator_con(WORKED, row)
+            assert one_a.tobytes() == a_row.tobytes() and one_mu.tobytes() == mu_row.tobytes()
+
+    def test_con_stack_names_a_row_that_does_not_sum(self):
+        counts = np.array([[12, 8], [10, 9], [20, 0]])
+        with pytest.raises(CountMismatch, match="sum to 19, expected 20"):
+            estimator_con(WORKED, counts)
+        with pytest.raises(ShapeMismatch):
+            estimator_con(WORKED, counts[:, :1])
+        with pytest.raises(ShapeMismatch):
+            estimator_con(WORKED, counts[None])
 
     def test_con_sums_to_unlabeled_count(self):
         rng = np.random.default_rng(0)
@@ -313,6 +332,21 @@ class TestMonteCarloPool:
         finally:
             sys.setswitchinterval(interval)
         assert report_bits(pooled) == report_bits(monte_carlo_ecs_serial(TEN_CLASS, 250_000, Rng(14)))
+
+    def test_chunk_holds_small_blocks(self, monkeypatch):
+        # one 20 000-trial chunk of the ten-class population on one worker:
+        # it keeps its chi vector (160 KB) and a few 2 000-trial blocks; a
+        # chunk scored whole holds several 20 000 x 10 arrays of 1.6 MB at
+        # once and passes 8 MB
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
+        monte_carlo_ecs(TEN_CLASS, 1, Rng(3))  # imports the pool module outside the trace
+        tracemalloc.start()
+        try:
+            monte_carlo_ecs(TEN_CLASS, theory._CHUNK, Rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, peak
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(theory.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
