@@ -10,10 +10,15 @@ chi-square values divided by the trial count (checked by
 reports a fault in the summation, not a stale golden; do not regenerate
 it to match one numpy build's reduction order.
 
-The `train` and `solve` goldens hold only within one numpy/BLAS build and
-CPU path (see the README); `GOLDEN_BUILD` names the build, numpy's enabled
-SIMD dispatch targets and the OpenBLAS kernel they were last verified on,
-and a failing comparison prints it next to `build_fingerprint()`.
+`train_variants.json` maps each `train` path of `train_variants()` to the
+sha256 of its run log, weights and bias. A change that moves a path on
+purpose regenerates it and says which digests moved and why.
+
+The `train` and `solve` goldens and the digest table hold only within one
+numpy/BLAS build and CPU path (see the README); `GOLDEN_BUILD` names the
+build, numpy's enabled SIMD dispatch targets and the OpenBLAS kernel they
+were last verified on, and a failing comparison prints it next to
+`build_fingerprint()`.
 """
 
 from __future__ import annotations
@@ -89,6 +94,47 @@ def build_note(name: str) -> str:
     )
 
 
+def train_variants() -> dict[str, dict]:
+    """The `train` paths the digest table covers, by name, as HyperParams overrides.
+
+    The golden run config crossed with conditional on/off, the three
+    threshold policies, the true/adaptive prior and confidence on/off, plus
+    the default path with 0 and 3 local views (the config has 1, so only
+    these fix the order of the local-view gradients).
+    """
+    variants = {}
+    for conditional in (True, False):
+        for policy in ("hierarchical", "static", "adaptive-global"):
+            for prior_mode in ("true", "adaptive"):
+                for confidence in (True, False):
+                    overrides = dict(conditional=conditional, threshold_policy=policy,
+                                     prior_mode=prior_mode, confidence=confidence)
+                    variants[",".join(f"{k}={v}" for k, v in overrides.items())] = overrides
+    for local_views in (0, 3):
+        variants[f"local_views={local_views}"] = dict(local_views=local_views)
+    return variants
+
+
+def train_variant_digests() -> dict[str, str]:
+    """sha256 of each variant's run-log JSON, weights and bias, trained in process."""
+    import hashlib
+    from dataclasses import replace
+
+    from owssl import cli as owssl_cli
+    from owssl import harness
+
+    data_cfg, hyper, _ = owssl_cli._load_run_config(GOLDEN / "run_config.json")
+    dataset = harness.generate_dataset(data_cfg)
+    digests = {}
+    for name, overrides in train_variants().items():
+        model, log = harness.train(dataset, replace(hyper, **overrides))
+        h = hashlib.sha256(json.dumps(log.to_dicts(), sort_keys=True).encode())
+        h.update(model.weights.tobytes())
+        h.update(model.bias.tobytes())
+        digests[name] = h.hexdigest()
+    return digests
+
+
 def cli(*args: str, cwd=None) -> None:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
@@ -156,6 +202,7 @@ def main() -> None:
         "--outdir", str(GOLDEN / "train"),
         "--emit-plot-data",
     )
+    (GOLDEN / "train_variants.json").write_text(json.dumps(train_variant_digests(), indent=2) + "\n")
 
     # eval: fixture with a permuted novel pair
     ev = GOLDEN / "eval"

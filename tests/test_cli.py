@@ -15,7 +15,7 @@ from owssl.cli import SCHEMA_VERSION, ParseError, _write_json, read_table, write
 from owssl.core import ClassPrior, Rng
 from owssl.theory import PopulationSpec
 
-from make_goldens import build_fingerprint, build_note, numpy_dispatch, openblas_core
+from make_goldens import build_fingerprint, build_note, numpy_dispatch, openblas_core, train_variant_digests
 from oracles import monte_carlo_ecs_serial, sinkhorn_extended
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -678,6 +678,14 @@ class TestGoldenGenDataAndTrain:
             assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes(), (
                 build_note(f"train {name}")
             )
+
+    def test_train_variants_reproduce_digest_table(self):
+        # the golden above is one path; the table pins every policy, prior,
+        # conditioning and confidence combination and the local-view order
+        fresh = train_variant_digests()
+        golden = json.loads((GOLDEN / "train_variants.json").read_text())
+        moved = sorted(name for name in fresh.keys() | golden.keys() if fresh.get(name) != golden.get(name))
+        assert not moved, f"{build_note('train_variants.json')}; moved: {moved}"
 
     def test_runlog_keys_are_epoch_record_fields(self):
         from dataclasses import fields
