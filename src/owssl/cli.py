@@ -299,6 +299,7 @@ def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams
     sk = train.get("sinkhorn", {})
     _check_fields(sk, SinkhornConfig, "sinkhorn")
     hyper = harness.HyperParams(**{**train, "sinkhorn": SinkhornConfig(**sk)})
+    hyper.check_class_count(data_cfg.k_total)
     seeds = payload.get("seeds", [hyper.seed])
     if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise UsageError(f"config field 'seeds' must be a list of int, got {seeds!r}")

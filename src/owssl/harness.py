@@ -9,7 +9,7 @@ self-label solver, and per-epoch bias/accuracy logging.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -297,6 +297,11 @@ class HyperParams:
         if self.local_views < 0:
             raise ValueError("local_views must be non-negative")
 
+    def check_class_count(self, k: int) -> None:
+        """Refuse a queue too short for one column per class; `train` and the CLI both ask."""
+        if self.queue_capacity < k:
+            raise ValueError("queue capacity must be at least the class count")
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -397,6 +402,86 @@ def _solve_queue(queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, n_ba
     return np.take(assignment.q.data, newest, axis=1)
 
 
+def _step(model, dataset, batch, queue, prior, state, hyper, gen_noise):
+    """One batch: the loss terms (sup, cls, conf, retained fraction), the
+    threshold state after the batch, and the weight and bias gradients
+    (weight decay included). A None state pseudo-labels at the fixed cutoff.
+    """
+    x = dataset.features[batch]
+    tags = np.where(batch < dataset.partition.n_labeled, dataset.labels[batch], -1)
+    is_lab = tags >= 0
+    sigma_strong = dataset.config.strong_noise_sigma
+    xw = weak_view(x, dataset.config.weak_noise_sigma, gen_noise)
+    probs_w = softmax(model.logits(xw))
+
+    # clustering term against queue-derived self-labels, on the weak view and
+    # the local views of the whole batch; an unconditional run queues its
+    # labeled columns as unlabeled, so nothing is pinned
+    queue.push(probs_w, tags if hyper.conditional else np.full(batch.size, -1))
+    q_batch = _solve_queue(queue, prior, hyper.sinkhorn, batch.size)
+    xls = [local_view(x, sigma_strong, 0.5, gen_noise) for _ in range(hyper.local_views)]
+    cls, g_cls = clustering_loss(q_batch, [probs_w] + [softmax(model.logits(xl)) for xl in xls])
+    pairs = list(zip(g_cls[1:], xls))  # (logit gradient, view), backpropagated in this order
+
+    # supervised term on the labeled part of the batch
+    sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
+    g_cls[0][:, is_lab] += g_sup
+
+    # confidence term on strong views of the whole batch
+    conf = retained = 0.0
+    if hyper.confidence:
+        if state is None:
+            tau = np.full(probs_w.shape[0], 0.95)  # FixMatch's fixed cutoff
+        else:
+            state = update_state(state, probs_w)
+            tau = thresholds(state)
+        pseudo = make_pseudo_batch(probs_w, tau)
+        retained = pseudo.retained_fraction
+        if pseudo.mask.any():
+            xs = strong_view(x, sigma_strong, gen_noise)
+            conf, g_s = confidence_loss(pseudo, softmax(model.logits(xs)))
+            pairs.append((g_s, xs))
+    pairs.append((g_cls[0], xw))
+
+    d_weights = np.zeros_like(model.weights)
+    d_bias = np.zeros_like(model.bias)
+    for g, view in pairs:
+        d_weights += g @ (view / model.input_scale)
+        d_bias += g.sum(axis=1)
+    d_weights += 0.02 * model.weights  # weight decay
+    return (sup, cls, conf, retained), state, d_weights, d_bias
+
+
+def _record(epoch, means, probs, dataset, prior, state, conditional) -> EpochRecord:
+    """The epoch's record from its mean loss terms and its predictions on clean features."""
+    part = dataset.partition
+    pred_hard = probs.data.argmax(axis=0)
+    b_m = manhattan_bias(empirical_distribution(pred_hard, part.k_total),
+                         empirical_distribution(dataset.labels, part.k_total))
+    if conditional:
+        b_s = self_label_bias(dataset.labels, prior, dataset.labeled)
+    else:
+        b_s = self_label_bias(dataset.labels[part.n_labeled :], prior, None)
+    sup, cls, conf, retained = means
+    acc = clustering_report(pred_hard, dataset.labels, part)
+    return EpochRecord(
+        epoch=epoch,
+        loss_sup=sup,
+        loss_cls=cls,
+        loss_conf=conf,
+        loss_total=sup + cls + conf,
+        retained_fraction=retained,
+        acc_seen=acc["seen"],
+        acc_novel=acc["novel"],
+        acc_all=acc["all"],
+        b_m=b_m,
+        b_s=b_s,
+        b_gap=abs(b_m - b_s),
+        prior_estimate=tuple(float(p) for p in prior.probs),
+        thresholds=None if state is None else state.to_dict(),
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunLog]:
     """Run the full training loop and log per-epoch metrics.
@@ -408,148 +493,61 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
     """
     part = dataset.partition
     k, dim, n = part.k_total, dataset.dim, dataset.n
-    if hyper.queue_capacity < k:
-        raise ValueError("queue capacity must be at least the class count")
-    sigma_weak = dataset.config.weak_noise_sigma
-    sigma_strong = dataset.config.strong_noise_sigma
+    hyper.check_class_count(k)
 
     rng = Rng(hyper.seed)
     gen_batch = rng.derive(1).generator()
     gen_noise = rng.derive(2).generator()
-
-    scale = float(np.sqrt(np.square(dataset.features).mean())) or 1.0
     # symmetry breaking: distinct novel heads must start distinct, or tied
     # argmaxes funnel every novel sample onto one head
-    gen_init = rng.derive(0).generator()
     model = ToyModel(
-        weights=0.1 * gen_init.standard_normal((k, dim)) / math.sqrt(dim),
+        weights=0.1 * rng.derive(0).generator().standard_normal((k, dim)) / math.sqrt(dim),
         bias=np.zeros(k),
-        input_scale=scale,
+        input_scale=float(np.sqrt(np.square(dataset.features).mean())) or 1.0,
     )
-    truth_dist = empirical_distribution(dataset.labels, k)
-    prior = truth_dist if hyper.prior_mode == "true" else ClassPrior.uniform(k)
+    prior = empirical_distribution(dataset.labels, k) if hyper.prior_mode == "true" else ClassPrior.uniform(k)
 
-    if hyper.threshold_policy == "adaptive-global":
+    # the threshold policy, decided once: no state means the fixed cutoff
+    # (`static`) or no confidence term at all
+    state = None
+    if hyper.confidence and hyper.threshold_policy == "hierarchical":
+        state = ThresholdState.initial(part)
+    elif hyper.confidence and hyper.threshold_policy == "adaptive-global":
         # one group holding every class: the scheme collapses to a single
         # global status scaled by per-class ratios
-        flat = PartitionSpec(k, tuple(range(k)), (), part.n_labeled, part.n_unlabeled)
-        state = ThresholdState.initial(flat)
-    else:
-        state = ThresholdState.initial(part)
+        state = ThresholdState.initial(replace(part, seen=tuple(range(k)), novel=()))
 
     queue = LogitQueue(hyper.queue_capacity)
     log = RunLog()
-
     n_batches = math.ceil(n / hyper.batch_size)
     total_steps = max(hyper.epochs * n_batches, 1)
-    step = 0
 
     for epoch in range(1, hyper.epochs + 1):
         perm = gen_batch.permutation(n)
-        sums = {"sup": 0.0, "cls": 0.0, "conf": 0.0, "retained": 0.0}
-        try:
-            for start in range(0, n, hyper.batch_size):
-                batch = perm[start : start + hyper.batch_size]
-                b = batch.size
-                x = dataset.features[batch]
-                is_lab = batch < part.n_labeled
-                tags = np.where(is_lab, dataset.labels[batch], -1)
-
-                xw = weak_view(x, sigma_weak, gen_noise)
-                probs_w = softmax(model.logits(xw))
-                d_weights = np.zeros_like(model.weights)
-                d_bias = np.zeros_like(model.bias)
-
-                # clustering term against queue-derived self-labels, on the weak
-                # view and the local views of the whole batch; an unconditional
-                # run queues its labeled columns as unlabeled, so nothing is pinned
-                queue.push(probs_w, tags if hyper.conditional else np.full(b, -1))
-                q_batch = _solve_queue(queue, prior, hyper.sinkhorn, b)
-                xls = [local_view(x, sigma_strong, 0.5, gen_noise) for _ in range(hyper.local_views)]
-                cls, g_cls = clustering_loss(
-                    q_batch, [probs_w] + [softmax(model.logits(xl)) for xl in xls]
-                )
-                for xl, g_l in zip(xls, g_cls[1:]):
-                    d_weights += g_l @ (xl / scale)
-                    d_bias += g_l.sum(axis=1)
-
-                # supervised term on the labeled part of the batch
-                sup, g_sup = supervised_loss(tags[is_lab], probs_w[:, is_lab])
-                grad_w = g_cls[0]
-                grad_w[:, is_lab] += g_sup
-
-                # confidence term on strong views of the whole batch
-                conf = 0.0
-                retained = 0.0
-                if hyper.confidence:
-                    if hyper.threshold_policy == "static":
-                        tau = np.full(k, 0.95)  # FixMatch's fixed cutoff
-                    else:
-                        state = update_state(state, probs_w)
-                        tau = thresholds(state)
-                    pseudo = make_pseudo_batch(probs_w, tau)
-                    retained = pseudo.retained_fraction
-                    if pseudo.mask.any():
-                        xs = strong_view(x, sigma_strong, gen_noise)
-                        conf, g_s = confidence_loss(pseudo, softmax(model.logits(xs)))
-                        d_weights += g_s @ (xs / scale)
-                        d_bias += g_s.sum(axis=1)
-
-                d_weights += grad_w @ (xw / scale)
-                d_bias += grad_w.sum(axis=1)
-                d_weights += 0.02 * model.weights  # weight decay
-                lr = hyper.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-                model.weights -= lr * d_weights
-                model.bias -= lr * d_bias
-                step += 1
-
-                sums["sup"] += sup
-                sums["cls"] += cls
-                sums["conf"] += conf
-                sums["retained"] += retained
-
-            start = None  # past the last batch
-            # epoch metrics on clean features
-            probs_full = model.predict(dataset.features)
-        except NonFiniteInput as exc:
+        sums = [0.0] * 4  # sup, cls, conf, retained fraction
+        for i in range(n_batches):
+            batch = perm[i * hyper.batch_size : (i + 1) * hyper.batch_size]
             # softmax only sees logits the run computed, so a non-finite one
             # means the run diverged: a computation failure, not malformed input
-            where = f"batch {start // hyper.batch_size + 1}" if start is not None else "evaluation pass"
-            raise TrainingDiverged(f"training diverged at epoch {epoch}, {where}: {exc}") from exc
-        pred_hard = probs_full.data.argmax(axis=0)
-        pred_dist = empirical_distribution(pred_hard, k)
-        b_m = manhattan_bias(pred_dist, truth_dist)
-        if hyper.conditional:
-            b_s = self_label_bias(dataset.labels, prior, dataset.labeled)
-        else:
-            b_s = self_label_bias(dataset.labels[part.n_labeled :], prior, None)
+            try:
+                terms, state, d_weights, d_bias = _step(
+                    model, dataset, batch, queue, prior, state, hyper, gen_noise
+                )
+            except NonFiniteInput as exc:
+                raise TrainingDiverged(f"training diverged at epoch {epoch}, batch {i + 1}: {exc}") from exc
+            step = (epoch - 1) * n_batches + i
+            lr = hyper.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+            model.weights -= lr * d_weights
+            model.bias -= lr * d_bias
+            sums = [s + t for s, t in zip(sums, terms)]
 
-        loss_sup = sums["sup"] / n_batches
-        loss_cls = sums["cls"] / n_batches
-        loss_conf = sums["conf"] / n_batches
-        acc = clustering_report(pred_hard, dataset.labels, part)
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss_sup=loss_sup,
-                loss_cls=loss_cls,
-                loss_conf=loss_conf,
-                loss_total=loss_sup + loss_cls + loss_conf,
-                retained_fraction=sums["retained"] / n_batches,
-                acc_seen=acc["seen"],
-                acc_novel=acc["novel"],
-                acc_all=acc["all"],
-                b_m=b_m,
-                b_s=b_s,
-                b_gap=abs(b_m - b_s),
-                prior_estimate=tuple(float(p) for p in prior.probs),
-                thresholds=(
-                    state.to_dict() if hyper.confidence and hyper.threshold_policy != "static" else None
-                ),
-            )
-        )
-
+        try:  # epoch metrics on clean features
+            probs = model.predict(dataset.features)
+        except NonFiniteInput as exc:
+            raise TrainingDiverged(f"training diverged at epoch {epoch}, evaluation pass: {exc}") from exc
+        means = [s / n_batches for s in sums]
+        log.records.append(_record(epoch, means, probs, dataset, prior, state, hyper.conditional))
         if hyper.prior_mode == "adaptive":
-            prior = estimate_prior_adaptive(prior, probs_full, 0.98)
+            prior = estimate_prior_adaptive(prior, probs, 0.98)
 
     return model, log

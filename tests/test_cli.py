@@ -492,8 +492,11 @@ class TestExitCodes:
             ("train", "learning_rate", "1e400"),
             ("train", "sinkhorn", '{"epsilom": 0.5}'),
             (None, "seeds", "5"),
+            ("train", "queue_capacity", "2"),
+            ("train", "queue_capacity", "0"),
         ],
-        ids=["string-epochs", "misspelled-field", "learning-rate-1e400", "sinkhorn-field", "seeds-not-list"],
+        ids=["string-epochs", "misspelled-field", "learning-rate-1e400", "sinkhorn-field", "seeds-not-list",
+             "queue-below-k", "queue-empty"],
     )
     def test_gen_data_refuses_what_train_refuses(self, tmp_path, section, field, literal):
         config = json.loads((GOLDEN / "run_config.json").read_text())
@@ -778,6 +781,53 @@ def test_build_fingerprint_names_the_cpu_path():
         capture_output=True, text=True,
     )
     assert result.stdout.strip() == "baseline only", result.stderr
+
+
+# the golden commands the README calls byte-stable across builds: the argv
+# ({out} is the output directory) and the files each compares with its golden
+PORTABLE_GOLDENS = {
+    "theory": (["theory", "--prior-labeled", "0.5,0.5", "--prior-unlabeled", "0.3,0.7", "--n-labeled", "20",
+                "--n-unlabeled", "100", "--trials", "20000", "--seed", "7", "--out", "{out}/report.json"],
+               ("report.json",)),
+    "eval": (["eval", "--pred", str(GOLDEN / "eval" / "pred.csv"), "--truth", str(GOLDEN / "eval" / "truth.csv"),
+              "--k-total", "4", "--seen", "0,1", "--out", "{out}/metrics.json"],
+             ("metrics.json",)),
+    "gen_data": (["gen-data", "--config", str(GOLDEN / "run_config.json"), "--outdir", "{out}"],
+                 ("features.csv", "labels.csv", "labeled.csv", "partition.json")),
+    "solve": (["solve", "--input", str(GOLDEN / "solve" / "p.csv"), "--prior", str(GOLDEN / "solve" / "prior.csv"),
+               "--labels", str(GOLDEN / "solve" / "labels.csv"), "--out", "{out}/q.csv",
+               "--report", "{out}/report.json", "--epsilon", "0.1"],
+              ("q.csv", "report.json")),
+}
+
+
+@pytest.mark.parametrize("setting", ["numpy-baseline", "openblas-prescott"])
+def test_portable_goldens_hold_on_lower_cpu_paths(tmp_path, setting):
+    # numpy's dispatch lowered to its baseline, or OpenBLAS's Prescott kernel,
+    # is what an older CPU runs; each moves `train`, and neither may move these
+    env = dict(os.environ)
+    if setting == "openblas-prescott":
+        env["OPENBLAS_CORETYPE"] = "Prescott"
+    elif numpy_dispatch() != "baseline only":
+        env["NPY_DISABLE_CPU_FEATURES"] = numpy_dispatch()
+
+    def child_path() -> str:
+        probe = "import make_goldens as m; print(m.numpy_dispatch(), '/', m.openblas_core())"
+        result = subprocess.run([sys.executable, "-c", probe], cwd=Path(__file__).parent, env=env,
+                                capture_output=True, text=True)
+        return result.stdout.strip() or result.stderr
+
+    for name, (argv, files) in PORTABLE_GOLDENS.items():
+        out = tmp_path / name
+        out.mkdir()
+        result = subprocess.run([sys.executable, "-m", "owssl", *(a.replace("{out}", str(out)) for a in argv)],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        for file in files:
+            fresh, golden = (out / file).read_bytes(), (GOLDEN / name / file).read_bytes()
+            if name == "theory":
+                fresh, golden = strip_elapsed(fresh.decode()), strip_elapsed(golden.decode())
+            assert fresh == golden, f"{name} {file} moved under {setting} (child path: {child_path()})"
 
 
 def test_readme_run_config_names_every_field(tmp_path):

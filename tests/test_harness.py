@@ -244,6 +244,18 @@ class TestTrain:
             _, log = train(data, small_hyper(threshold_policy=policy))
             assert len(log) == 5
 
+    @pytest.mark.parametrize("confidence", [True, False], ids=["confidence", "no-confidence"])
+    @pytest.mark.parametrize("policy", ["hierarchical", "static", "adaptive-global"])
+    def test_thresholds_logged_exactly_when_a_state_is_tracked(self, policy, confidence):
+        # the policy is decided once at setup: only the confidence term under
+        # a status-tracking policy has thresholds to log, in every epoch
+        data = generate_dataset(SMALL)
+        _, log = train(data, small_hyper(epochs=2, threshold_policy=policy, confidence=confidence))
+        tracked = confidence and policy != "static"
+        assert [r.thresholds is None for r in log.records] == [not tracked] * 2
+        if tracked:
+            assert all(len(r.thresholds["zeta"]) == 4 for r in log.records)
+
     @pytest.mark.parametrize("policy", ["hierarchical", "static", "adaptive-global"])
     def test_every_policy_pseudo_labels_through_make_pseudo_batch(self, monkeypatch, policy):
         taus = []
