@@ -301,8 +301,8 @@ def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams
     hyper = harness.HyperParams(**{**train, "sinkhorn": SinkhornConfig(**sk)})
     hyper.check_class_count(data_cfg.k_total)
     seeds = payload.get("seeds", [hyper.seed])
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-        raise UsageError(f"config field 'seeds' must be a list of int, got {seeds!r}")
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
+        raise UsageError(f"config field 'seeds' must be a non-empty list of int, got {seeds!r}")
     return data_cfg, hyper, seeds
 
 

@@ -203,12 +203,12 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
     # at most 100 Lloyd steps, stopping once no centroid moves by 1e-6
     k = centroids.shape[0]
     sq_norms = np.square(points).sum(axis=1)
+
+    def sq_dists(centroids):
+        return sq_norms[:, None] - 2.0 * points @ centroids.T + np.square(centroids).sum(axis=1)[None, :]
+
     for _ in range(100):
-        dists = (
-            sq_norms[:, None]
-            - 2.0 * points @ centroids.T
-            + np.square(centroids).sum(axis=1)[None, :]
-        )
+        dists = sq_dists(centroids)
         labels = dists.argmin(axis=1)
         # every centroid's members summed row by row in index order: for D >= 2
         # the bits of points[labels == j].mean(axis=0), without a loop over j
@@ -225,11 +225,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
         centroids = new_centroids
         if shift < 1e-6:
             break
-    dists = (
-        sq_norms[:, None]
-        - 2.0 * points @ centroids.T
-        + np.square(centroids).sum(axis=1)[None, :]
-    )
+    dists = sq_dists(centroids)
     labels = dists.argmin(axis=1)
     inertia = float(np.maximum(dists[np.arange(points.shape[0]), labels], 0.0).sum())
     return centroids, labels, inertia

@@ -57,7 +57,7 @@ class SinkhornConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol < 0:
+        if not (self.tol >= 0):
             raise ValueError("tol must be non-negative")
 
     @classmethod

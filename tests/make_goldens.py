@@ -1,7 +1,13 @@
 """Regenerate the committed golden files for the CLI determinism tests.
 
 Run from the repository root:  python3 tests/make_goldens.py
-Outputs land in tests/golden/; review diffs before committing.
+
+`GOLDENS` is the one list of golden commands: the golden tests, C14 and the
+cross-CPU test all run them from it, through `run_golden`, and compare the
+files by `moved_files`. `main()` writes the fixture inputs, runs each
+command into a scratch directory and copies over only the files that
+moved, so a run that changes nothing leaves tests/golden/ as it was.
+Review the diffs before committing.
 
 The theory golden holds the correctly rounded Monte Carlo mean: its
 `ecs_con_empirical` equals the exact rational sum of the per-trial
@@ -29,6 +35,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,52 +142,99 @@ def train_variant_digests() -> dict[str, str]:
     return digests
 
 
-def cli(*args: str, cwd=None) -> None:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run(
-        [sys.executable, "-m", "owssl", *args], cwd=cwd, env=env, capture_output=True, text=True
-    )
+class Golden(NamedTuple):
+    argv: tuple[str, ...]  # {golden} stands for tests/golden/, {out} for the output directory
+    files: tuple[str, ...]  # what the command writes into {out}, each compared with golden/<name>/
+    portable: bool  # its files held on every CPU path tried (see the README); `train` moves
+
+
+# every golden command, by the golden/ directory its files live in
+GOLDENS = {
+    # the K=2, N=3 conditional fixture (one labeled class-0 column)
+    "solve": Golden(
+        ("solve", "--input", "{golden}/solve/p.csv", "--prior", "{golden}/solve/prior.csv",
+         "--labels", "{golden}/solve/labels.csv", "--out", "{out}/q.csv", "--report", "{out}/report.json",
+         "--epsilon", "0.1"),
+        ("q.csv", "report.json"), portable=True),
+    # the K=2 worked population
+    "theory": Golden(
+        ("theory", "--prior-labeled", "0.5,0.5", "--prior-unlabeled", "0.3,0.7", "--n-labeled", "20",
+         "--n-unlabeled", "100", "--trials", "20000", "--seed", "7", "--out", "{out}/report.json"),
+        ("report.json",), portable=True),
+    # gen-data and train share the small run config
+    "gen_data": Golden(
+        ("gen-data", "--config", "{golden}/run_config.json", "--outdir", "{out}"),
+        ("features.csv", "labels.csv", "labeled.csv", "partition.json"), portable=True),
+    "train": Golden(
+        ("train", "--config", "{golden}/run_config.json", "--outdir", "{out}", "--emit-plot-data"),
+        ("runlog.jsonl", "bias.csv", "metrics.json", "plot.csv"), portable=False),
+    # a fixture with a permuted novel pair
+    "eval": Golden(
+        ("eval", "--pred", "{golden}/eval/pred.csv", "--truth", "{golden}/eval/truth.csv", "--k-total", "4",
+         "--seen", "0,1", "--out", "{out}/metrics.json"),
+        ("metrics.json",), portable=True),
+}
+
+
+def golden_argv(name: str, out: Path) -> list[str]:
+    """The `owssl` arguments of golden command `name`, writing into `out`."""
+    return [a.replace("{golden}", str(GOLDEN)).replace("{out}", str(out)) for a in GOLDENS[name].argv]
+
+
+def strip_elapsed(text: str) -> str:
+    return "\n".join(line for line in text.splitlines() if '"elapsed_seconds"' not in line)
+
+
+def differing_keys(fresh: str, golden: str) -> list[str]:
+    """Top-level JSON keys whose values differ, elapsed time left out."""
+    a, b = json.loads(fresh), json.loads(golden)
+    return sorted(k for k in a.keys() | b.keys() if k != "elapsed_seconds" and a.get(k) != b.get(k))
+
+
+def moved_files(name: str, out: Path) -> list[str]:
+    """The files of golden `name` in `out` that differ from the committed ones.
+
+    Bytes are compared, except that the `theory` report leaves out its
+    `elapsed_seconds` line. A file missing on either side has moved.
+    """
+    moved = []
+    for file in GOLDENS[name].files:
+        fresh, golden = out / file, GOLDEN / name / file
+        if not (fresh.is_file() and golden.is_file()):
+            moved.append(file)
+        elif name == "theory":
+            if strip_elapsed(fresh.read_text()) != strip_elapsed(golden.read_text()):
+                moved.append(file)
+        elif fresh.read_bytes() != golden.read_bytes():
+            moved.append(file)
+    return moved
+
+
+def run_golden(name: str, out: Path, env: dict | None = None) -> list[str]:
+    """Run golden command `name` into `out` in a child process; return the files that moved."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out.mkdir(parents=True, exist_ok=True)
+    argv = golden_argv(name, out)
+    result = subprocess.run([sys.executable, "-m", "owssl", *argv], env=env, capture_output=True, text=True)
     if result.returncode != 0:
-        raise RuntimeError(f"owssl {' '.join(args)} failed: {result.stderr}")
+        raise RuntimeError(f"owssl {' '.join(argv)} exited {result.returncode}: {result.stderr}")
+    return moved_files(name, out)
 
 
 def main() -> None:
+    import shutil
+    import tempfile
+
     from owssl.cli import write_table
     from owssl.core import ClassPrior
 
-    GOLDEN.mkdir(exist_ok=True)
-
-    # solve: the K=2, N=3 conditional fixture (one labeled class-0 column)
-    solve = GOLDEN / "solve"
-    solve.mkdir(exist_ok=True)
-    write_table(solve / "p.csv", np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]), "class-rows")
-    write_table(solve / "prior.csv", ClassPrior.uniform(2).probs, "prior")
-    write_table(solve / "labels.csv", [0], "labels")
-    cli(
-        "solve",
-        "--input", str(solve / "p.csv"),
-        "--prior", str(solve / "prior.csv"),
-        "--labels", str(solve / "labels.csv"),
-        "--out", str(solve / "q.csv"),
-        "--report", str(solve / "report.json"),
-        "--epsilon", "0.1",
-    )
-
-    # theory: the K=2 worked population
-    theory = GOLDEN / "theory"
-    theory.mkdir(exist_ok=True)
-    cli(
-        "theory",
-        "--prior-labeled", "0.5,0.5",
-        "--prior-unlabeled", "0.3,0.7",
-        "--n-labeled", "20",
-        "--n-unlabeled", "100",
-        "--trials", "20000",
-        "--seed", "7",
-        "--out", str(theory / "report.json"),
-    )
-
-    # gen-data + train share a small config
+    # the fixture inputs the golden commands read
+    for name in GOLDENS:
+        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+    write_table(GOLDEN / "solve" / "p.csv", np.array([[0.7, 0.9, 0.2], [0.3, 0.1, 0.8]]), "class-rows")
+    write_table(GOLDEN / "solve" / "prior.csv", ClassPrior.uniform(2).probs, "prior")
+    write_table(GOLDEN / "solve" / "labels.csv", [0], "labels")
     config = {
         "schema_version": 1,
         "dataset": {
@@ -192,33 +246,21 @@ def main() -> None:
         },
         "train": {"epochs": 3, "batch_size": 32, "local_views": 1, "seed": 11},
     }
-    for sub in ("gen_data", "train"):
-        (GOLDEN / sub).mkdir(exist_ok=True)
     (GOLDEN / "run_config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-    cli("gen-data", "--config", str(GOLDEN / "run_config.json"), "--outdir", str(GOLDEN / "gen_data"))
-    cli(
-        "train",
-        "--config", str(GOLDEN / "run_config.json"),
-        "--outdir", str(GOLDEN / "train"),
-        "--emit-plot-data",
-    )
+    write_table(GOLDEN / "eval" / "truth.csv", [0, 0, 1, 1, 2, 2, 3, 3], "labels")
+    write_table(GOLDEN / "eval" / "pred.csv", [0, 0, 1, 1, 3, 3, 2, 2], "labels")
+
+    # each command runs into a scratch directory; only the files that moved
+    # are copied over, by the comparison the tests use
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in GOLDENS:
+            out = Path(tmp) / name
+            for file in run_golden(name, out):
+                shutil.copyfile(out / file, GOLDEN / name / file)
+                print(f"rewrote {name}/{file}")
     (GOLDEN / "train_variants.json").write_text(json.dumps(train_variant_digests(), indent=2) + "\n")
 
-    # eval: fixture with a permuted novel pair
-    ev = GOLDEN / "eval"
-    ev.mkdir(exist_ok=True)
-    write_table(ev / "truth.csv", [0, 0, 1, 1, 2, 2, 3, 3], "labels")
-    write_table(ev / "pred.csv", [0, 0, 1, 1, 3, 3, 2, 2], "labels")
-    cli(
-        "eval",
-        "--pred", str(ev / "pred.csv"),
-        "--truth", str(ev / "truth.csv"),
-        "--k-total", "4",
-        "--seen", "0,1",
-        "--out", str(ev / "metrics.json"),
-    )
-
-    print(f"golden files written under {GOLDEN}")
+    print(f"golden files checked under {GOLDEN}")
 
 
 if __name__ == "__main__":

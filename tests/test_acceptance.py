@@ -4,12 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
-import json
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,14 +35,12 @@ from owssl.threshold import (
     thresholds,
 )
 
-from make_goldens import build_note
+from make_goldens import GOLDEN, GOLDENS, build_note, differing_keys, run_golden
 from oracles import (
     brute_force_assignment,
     lp_assignment_values,
     sinkhorn_extended,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -467,108 +461,18 @@ def test_c13_class_count_estimation():
     )
 
 
-def test_c14_cli_golden_files():
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "owssl", *args], capture_output=True, text=True
-        )
-
-    import tempfile
-
+def test_c14_cli_golden_files(tmp_path):
+    # every golden command, compared as the golden tests compare it
     ok = True
     details = []
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        r = run(
-            "solve",
-            "--input", str(GOLDEN / "solve" / "p.csv"),
-            "--prior", str(GOLDEN / "solve" / "prior.csv"),
-            "--labels", str(GOLDEN / "solve" / "labels.csv"),
-            "--out", str(tmp / "q.csv"),
-            "--report", str(tmp / "report.json"),
-            "--epsilon", "0.1",
-        )
-        solve_ok = (
-            r.returncode == 0
-            and (tmp / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes()
-            and (tmp / "report.json").read_bytes()
-            == (GOLDEN / "solve" / "report.json").read_bytes()
-        )
-        ok &= solve_ok
-        details.append(f"solve {solve_ok}")
-        if not solve_ok:
-            details.append(build_note("solve"))
-
-        r = run(
-            "theory",
-            "--prior-labeled", "0.5,0.5",
-            "--prior-unlabeled", "0.3,0.7",
-            "--n-labeled", "20",
-            "--n-unlabeled", "100",
-            "--trials", "20000",
-            "--seed", "7",
-            "--out", str(tmp / "theory.json"),
-        )
-
-        def strip(text):
-            return "\n".join(
-                l for l in text.splitlines() if '"elapsed_seconds"' not in l
-            )
-
-        theory_ok = r.returncode == 0 and strip(
-            (tmp / "theory.json").read_text()
-        ) == strip((GOLDEN / "theory" / "report.json").read_text())
-        ok &= theory_ok
-        details.append(f"theory {theory_ok} (elapsed-time line excluded)")
-        if r.returncode == 0 and not theory_ok:
-            fresh = json.loads((tmp / "theory.json").read_text())
-            golden = json.loads((GOLDEN / "theory" / "report.json").read_text())
-            keys = sorted(
-                k
-                for k in fresh.keys() | golden.keys()
-                if k != "elapsed_seconds" and fresh.get(k) != golden.get(k)
-            )
+    for name in GOLDENS:
+        out = tmp_path / name
+        moved = run_golden(name, out)
+        ok &= not moved
+        details.append(f"{name} {not moved}")
+        if name == "theory" and moved:
+            keys = differing_keys((out / "report.json").read_text(), (GOLDEN / name / "report.json").read_text())
             details.append(f"theory keys differing from the golden: {keys}")
-
-        r = run(
-            "gen-data", "--config", str(GOLDEN / "run_config.json"), "--outdir", str(tmp / "gd")
-        )
-        gen_ok = r.returncode == 0 and all(
-            (tmp / "gd" / name).read_bytes() == (GOLDEN / "gen_data" / name).read_bytes()
-            for name in ("features.csv", "labels.csv", "labeled.csv", "partition.json")
-        )
-        ok &= gen_ok
-        details.append(f"gen-data {gen_ok}")
-
-        r = run(
-            "train",
-            "--config", str(GOLDEN / "run_config.json"),
-            "--outdir", str(tmp / "tr"),
-            "--emit-plot-data",
-        )
-        train_ok = r.returncode == 0 and all(
-            (tmp / "tr" / name).read_bytes() == (GOLDEN / "train" / name).read_bytes()
-            for name in ("runlog.jsonl", "bias.csv", "metrics.json", "plot.csv")
-        )
-        ok &= train_ok
-        details.append(f"train {train_ok}")
-        if not train_ok:
-            details.append(build_note("train"))
-
-        r = run(
-            "eval",
-            "--pred", str(GOLDEN / "eval" / "pred.csv"),
-            "--truth", str(GOLDEN / "eval" / "truth.csv"),
-            "--k-total", "4",
-            "--seen", "0,1",
-            "--out", str(tmp / "metrics.json"),
-        )
-        eval_ok = (
-            r.returncode == 0
-            and (tmp / "metrics.json").read_bytes()
-            == (GOLDEN / "eval" / "metrics.json").read_bytes()
-        )
-        ok &= eval_ok
-        details.append(f"eval {eval_ok}")
-
+        if moved:
+            details.append(build_note(name))
     report("C14 CLI golden files", ok, ", ".join(details))

@@ -15,10 +15,21 @@ from owssl.cli import SCHEMA_VERSION, ParseError, _write_json, read_table, write
 from owssl.core import ClassPrior, Rng
 from owssl.theory import PopulationSpec
 
-from make_goldens import build_fingerprint, build_note, numpy_dispatch, openblas_core, train_variant_digests
+from make_goldens import (
+    GOLDEN,
+    GOLDENS,
+    build_fingerprint,
+    build_note,
+    differing_keys,
+    golden_argv,
+    numpy_dispatch,
+    openblas_core,
+    run_golden,
+    strip_elapsed,
+    train_variant_digests,
+)
 from oracles import monte_carlo_ecs_serial, sinkhorn_extended
 
-GOLDEN = Path(__file__).parent / "golden"
 DIGITS_400 = "1" + "0" * 400  # an int literal no float holds
 
 
@@ -26,18 +37,6 @@ def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "owssl", *args], cwd=cwd, capture_output=True, text=True
     )
-
-
-def strip_elapsed(text: str) -> str:
-    return "\n".join(
-        line for line in text.splitlines() if '"elapsed_seconds"' not in line
-    )
-
-
-def differing_keys(fresh: str, golden: str) -> list[str]:
-    """Top-level JSON keys whose values differ, elapsed time left out."""
-    a, b = json.loads(fresh), json.loads(golden)
-    return sorted(k for k in a.keys() | b.keys() if k != "elapsed_seconds" and a.get(k) != b.get(k))
 
 
 class TestFormats:
@@ -191,18 +190,8 @@ class TestStartup:
             "print('scipy' in sys.modules)\n"
         )
         result = subprocess.run(
-            [
-                sys.executable, "-c", script,
-                "train", "--config", str(GOLDEN / "run_config.json"),
-                "--outdir", str(tmp_path / "train"),
-                "--",
-                "eval",
-                "--pred", str(GOLDEN / "eval" / "pred.csv"),
-                "--truth", str(GOLDEN / "eval" / "truth.csv"),
-                "--k-total", "4",
-                "--seen", "0,1",
-                "--out", str(tmp_path / "metrics.json"),
-            ],
+            [sys.executable, "-c", script, *golden_argv("train", tmp_path / "train"), "--",
+             *golden_argv("eval", tmp_path)],
             capture_output=True,
             text=True,
         )
@@ -279,6 +268,13 @@ class TestExitCodes:
         for result in (solve, train):
             assert result.returncode == 2
             assert "error: " in result.stderr and "Traceback" not in result.stderr
+
+    def test_nan_tolerance_is_usage_error(self, tmp_path):
+        # NaN fails every comparison: unrefused, the solve runs to its iteration cap unconverged
+        result = run_cli(*golden_argv("solve", tmp_path), "--tol", "nan")
+        assert result.returncode == 2
+        assert result.stderr == "error: tol must be non-negative\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_inconsistent_stated_prior_is_usage_error(self, tmp_path):
         result = run_cli(
@@ -494,9 +490,10 @@ class TestExitCodes:
             (None, "seeds", "5"),
             ("train", "queue_capacity", "2"),
             ("train", "queue_capacity", "0"),
+            (None, "seeds", "[]"),
         ],
         ids=["string-epochs", "misspelled-field", "learning-rate-1e400", "sinkhorn-field", "seeds-not-list",
-             "queue-below-k", "queue-empty"],
+             "queue-below-k", "queue-empty", "seeds-empty"],
     )
     def test_gen_data_refuses_what_train_refuses(self, tmp_path, section, field, literal):
         config = json.loads((GOLDEN / "run_config.json").read_text())
@@ -570,23 +567,8 @@ class TestExitCodes:
 
 class TestGoldenSolve:
     def test_reproduces_golden_bytes(self, tmp_path):
-        result = run_cli(
-            "solve",
-            "--input", str(GOLDEN / "solve" / "p.csv"),
-            "--prior", str(GOLDEN / "solve" / "prior.csv"),
-            "--labels", str(GOLDEN / "solve" / "labels.csv"),
-            "--out", str(tmp_path / "q.csv"),
-            "--report", str(tmp_path / "report.json"),
-            "--epsilon", "0.1",
-        )
-        assert result.returncode == 0
-        assert (tmp_path / "q.csv").read_bytes() == (GOLDEN / "solve" / "q.csv").read_bytes(), (
-            build_note("solve q.csv")
-        )
-        assert (
-            (tmp_path / "report.json").read_bytes()
-            == (GOLDEN / "solve" / "report.json").read_bytes()
-        ), build_note("solve report.json")
+        moved = run_golden("solve", tmp_path)
+        assert not moved, build_note(f"solve {moved}")
 
     def test_golden_solution_matches_oracle(self):
         # the committed assignment is validated against the independent
@@ -602,22 +584,10 @@ class TestGoldenSolve:
 
 class TestGoldenTheory:
     def test_reproduces_golden_modulo_elapsed(self, tmp_path):
-        result = run_cli(
-            "theory",
-            "--prior-labeled", "0.5,0.5",
-            "--prior-unlabeled", "0.3,0.7",
-            "--n-labeled", "20",
-            "--n-unlabeled", "100",
-            "--trials", "20000",
-            "--seed", "7",
-            "--out", str(tmp_path / "report.json"),
+        moved = run_golden("theory", tmp_path)
+        assert not moved, "keys differing from the golden: " + str(
+            differing_keys((tmp_path / "report.json").read_text(), (GOLDEN / "theory" / "report.json").read_text())
         )
-        assert result.returncode == 0
-        fresh_text = (tmp_path / "report.json").read_text()
-        golden_text = (GOLDEN / "theory" / "report.json").read_text()
-        fresh = strip_elapsed(fresh_text)
-        golden = strip_elapsed(golden_text)
-        assert fresh == golden, f"keys differing from the golden: {differing_keys(fresh_text, golden_text)}"
 
     def test_pooled_chunks_write_the_serial_report(self, tmp_path):
         # four chunks, the last of 5537 trials: the committed golden fills one
@@ -660,27 +630,11 @@ class TestGoldenTheory:
 
 class TestGoldenGenDataAndTrain:
     def test_gen_data_reproduces_golden(self, tmp_path):
-        result = run_cli(
-            "gen-data",
-            "--config", str(GOLDEN / "run_config.json"),
-            "--outdir", str(tmp_path),
-        )
-        assert result.returncode == 0
-        for name in ("features.csv", "labels.csv", "labeled.csv", "partition.json"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / "gen_data" / name).read_bytes()
+        assert run_golden("gen_data", tmp_path) == []
 
     def test_train_reproduces_golden(self, tmp_path):
-        result = run_cli(
-            "train",
-            "--config", str(GOLDEN / "run_config.json"),
-            "--outdir", str(tmp_path),
-            "--emit-plot-data",
-        )
-        assert result.returncode == 0
-        for name in ("runlog.jsonl", "bias.csv", "metrics.json", "plot.csv"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / "train" / name).read_bytes(), (
-                build_note(f"train {name}")
-            )
+        moved = run_golden("train", tmp_path)
+        assert not moved, build_note(f"train {moved}")
 
     def test_train_variants_reproduce_digest_table(self):
         # the golden above is one path; the table pins every policy, prior,
@@ -745,19 +699,7 @@ class TestGoldenGenDataAndTrain:
 
 class TestGoldenEval:
     def test_reproduces_golden(self, tmp_path):
-        result = run_cli(
-            "eval",
-            "--pred", str(GOLDEN / "eval" / "pred.csv"),
-            "--truth", str(GOLDEN / "eval" / "truth.csv"),
-            "--k-total", "4",
-            "--seen", "0,1",
-            "--out", str(tmp_path / "metrics.json"),
-        )
-        assert result.returncode == 0
-        assert (
-            (tmp_path / "metrics.json").read_bytes()
-            == (GOLDEN / "eval" / "metrics.json").read_bytes()
-        )
+        assert run_golden("eval", tmp_path) == []
 
     def test_permuted_novel_pair_scores_one(self):
         payload = json.loads((GOLDEN / "eval" / "metrics.json").read_text())
@@ -783,28 +725,10 @@ def test_build_fingerprint_names_the_cpu_path():
     assert result.stdout.strip() == "baseline only", result.stderr
 
 
-# the golden commands the README calls byte-stable across builds: the argv
-# ({out} is the output directory) and the files each compares with its golden
-PORTABLE_GOLDENS = {
-    "theory": (["theory", "--prior-labeled", "0.5,0.5", "--prior-unlabeled", "0.3,0.7", "--n-labeled", "20",
-                "--n-unlabeled", "100", "--trials", "20000", "--seed", "7", "--out", "{out}/report.json"],
-               ("report.json",)),
-    "eval": (["eval", "--pred", str(GOLDEN / "eval" / "pred.csv"), "--truth", str(GOLDEN / "eval" / "truth.csv"),
-              "--k-total", "4", "--seen", "0,1", "--out", "{out}/metrics.json"],
-             ("metrics.json",)),
-    "gen_data": (["gen-data", "--config", str(GOLDEN / "run_config.json"), "--outdir", "{out}"],
-                 ("features.csv", "labels.csv", "labeled.csv", "partition.json")),
-    "solve": (["solve", "--input", str(GOLDEN / "solve" / "p.csv"), "--prior", str(GOLDEN / "solve" / "prior.csv"),
-               "--labels", str(GOLDEN / "solve" / "labels.csv"), "--out", "{out}/q.csv",
-               "--report", "{out}/report.json", "--epsilon", "0.1"],
-              ("q.csv", "report.json")),
-}
-
-
 @pytest.mark.parametrize("setting", ["numpy-baseline", "openblas-prescott"])
 def test_portable_goldens_hold_on_lower_cpu_paths(tmp_path, setting):
     # numpy's dispatch lowered to its baseline, or OpenBLAS's Prescott kernel,
-    # is what an older CPU runs; each moves `train`, and neither may move these
+    # is what an older CPU runs; each moves `train`, and neither may move a portable golden
     env = dict(os.environ)
     if setting == "openblas-prescott":
         env["OPENBLAS_CORETYPE"] = "Prescott"
@@ -817,17 +741,10 @@ def test_portable_goldens_hold_on_lower_cpu_paths(tmp_path, setting):
                                 capture_output=True, text=True)
         return result.stdout.strip() or result.stderr
 
-    for name, (argv, files) in PORTABLE_GOLDENS.items():
-        out = tmp_path / name
-        out.mkdir()
-        result = subprocess.run([sys.executable, "-m", "owssl", *(a.replace("{out}", str(out)) for a in argv)],
-                                env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        for file in files:
-            fresh, golden = (out / file).read_bytes(), (GOLDEN / name / file).read_bytes()
-            if name == "theory":
-                fresh, golden = strip_elapsed(fresh.decode()), strip_elapsed(golden.decode())
-            assert fresh == golden, f"{name} {file} moved under {setting} (child path: {child_path()})"
+    for name, golden in GOLDENS.items():
+        if golden.portable:
+            moved = run_golden(name, tmp_path / name, env)
+            assert not moved, f"{name} {moved} moved under {setting} (child path: {child_path()})"
 
 
 def test_readme_run_config_names_every_field(tmp_path):
