@@ -16,10 +16,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import harness
 from .core import (
     ClassPrior,
     ColumnNotNormalized,
@@ -33,13 +33,14 @@ from .core import (
     Rng,
     ShapeMismatch,
 )
-from .evaluation import clustering_report
 from .sinkhorn import (
     SinkhornConfig,
     solve_conditional,
     solve_unconditional,
 )
-from .theory import PopulationSpec, monte_carlo_ecs
+
+if TYPE_CHECKING:  # for the annotations only: each command imports the layers it calls
+    from . import harness
 
 SCHEMA_VERSION = 1
 
@@ -226,12 +227,14 @@ def _vector_arg(raw: str, name: str, kind=float) -> list:
 
 
 def cmd_theory(args) -> int:
+    from .theory import PopulationSpec, monte_carlo_ecs
+
     pl = ClassPrior.normalized(_vector_arg(args.prior_labeled, "prior-labeled"))
     pu = ClassPrior.normalized(_vector_arg(args.prior_unlabeled, "prior-unlabeled"))
     spec = PopulationSpec(pl, pu, args.n_labeled, args.n_unlabeled)
     if args.prior is not None:
         stated = np.asarray(_vector_arg(args.prior, "prior"))
-        if stated.size != spec.k or np.abs(stated - spec.prior.probs).max() > 1e-9:
+        if stated.size != spec.k or not (np.abs(stated - spec.prior.probs).max() <= 1e-9):
             raise UsageError(
                 "stated prior is inconsistent with the mixture of labeled and unlabeled priors"
             )
@@ -244,6 +247,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import clustering_report
+
     pred = read_table(args.pred, "labels")[0]
     truth = read_table(args.truth, "labels")[0]
     seen = tuple(_vector_arg(args.seen, "seen", int)) if args.seen else ()
@@ -286,6 +291,8 @@ def _check_fields(payload, cls, section: str) -> None:
 
 def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams, list[int]]:
     """Check the whole run config, so `gen-data` and `train` refuse the same files."""
+    from . import harness
+
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
@@ -342,6 +349,8 @@ _ABLATION_GRID = (
 
 
 def cmd_train(args) -> int:
+    from . import harness
+
     data_cfg, hyper, seeds = _load_run_config(args.config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -393,6 +402,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    from . import harness
+
     data_cfg, _, _ = _load_run_config(args.config)
     dataset = harness.generate_dataset(data_cfg)
     outdir = Path(args.outdir)

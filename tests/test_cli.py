@@ -200,6 +200,35 @@ class TestStartup:
         assert (tmp_path / "train" / "runlog.jsonl").is_file()
         assert (tmp_path / "metrics.json").is_file()
 
+    def test_cli_import_loads_only_core_and_sinkhorn(self):
+        # the parser reads SinkhornConfig; every other layer loads in the command that calls it
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, owssl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'owssl'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == str(["owssl", "owssl.cli", "owssl.core", "owssl.sinkhorn"])
+
+    def test_solve_leaves_other_layers_unloaded(self, tmp_path):
+        unused = ["owssl.harness", "owssl.theory", "owssl.evaluation", "owssl.threshold",
+                  "owssl.objectives", "numpy.random"]
+        script = (
+            "import sys\n"
+            "from owssl.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print([m for m in {unused!r} if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *golden_argv("solve", tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        assert (tmp_path / "q.csv").is_file()
+
     def test_imports_are_declared_dependencies(self):
         # a lazy import inside a function counts too: ast sees every statement
         tomllib = pytest.importorskip("tomllib")
@@ -288,6 +317,24 @@ class TestExitCodes:
             "--out", str(tmp_path / "t.json"),
         )
         assert result.returncode == 2
+
+    def test_nan_stated_prior_is_usage_error(self, tmp_path):
+        # NaN fails every comparison, so the consistency check is written to pass only a small gap
+        result = run_cli(
+            "theory",
+            "--prior-labeled", "0.5,0.5",
+            "--prior-unlabeled", "0.3,0.7",
+            "--prior", "nan,nan",
+            "--n-labeled", "20",
+            "--n-unlabeled", "100",
+            "--trials", "10",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: stated prior is inconsistent with the mixture of labeled and unlabeled priors\n"
+        )
+        assert not (tmp_path / "t.json").exists()
 
     def test_priors_of_different_length_are_usage_error(self, tmp_path):
         result = run_cli(
