@@ -2,7 +2,8 @@
 
 Each exported name, and each layer module, is imported on first use (PEP 562
 module `__getattr__`), so `import owssl` or `import owssl.cli` loads only what
-a command calls.
+a command calls. A name is looked up in its module at every read, never
+cached here, so it is always the module's current binding.
 """
 
 import importlib
@@ -36,9 +37,7 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
-    globals()[name] = value = getattr(module, name)
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
 def __dir__():

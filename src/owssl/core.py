@@ -103,9 +103,8 @@ class ProbMatrix:
             raise ShapeMismatch(f"expected a K x N matrix with K,N >= 1, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteInput("matrix contains non-finite entries")
-        neg = mat < 0
-        if neg.any():
-            row, col = np.argwhere(neg)[0]
+        if (mat < 0).any():
+            row, col = np.argwhere(mat < 0)[0]
             raise NegativeEntry(row, col)
         sums = mat.sum(axis=0)
         bad = np.abs(sums - 1.0) > EXTERNAL_TOL
@@ -227,5 +226,7 @@ def softmax(logits) -> np.ndarray:
         raise ShapeMismatch(f"logits must be a non-empty vector or K x N matrix, not {z.shape}")
     if not np.all(np.isfinite(z)):
         raise NonFiniteInput("logits contain non-finite entries")
-    expd = np.exp(z - z.max(axis=0))
-    return expd / expd.sum(axis=0)
+    expd = z - z.max(axis=0)
+    np.exp(expd, out=expd)
+    expd /= expd.sum(axis=0)
+    return expd

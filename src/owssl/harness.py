@@ -156,24 +156,21 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     sizes = class_sizes(cfg)
     centroids = _place_centroids(cfg.k_total, cfg.feature_dim, cfg.cluster_separation, gen)
 
-    feats, labs = [], []
+    features = np.empty((int(sizes.sum()), cfg.feature_dim))
+    labels = np.repeat(np.arange(cfg.k_total, dtype=np.int64), sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     for c in range(cfg.k_total):
-        feats.append(centroids[c] + gen.standard_normal((sizes[c], cfg.feature_dim)))
-        labs.append(np.full(sizes[c], c, dtype=np.int64))
-    features = np.concatenate(feats)
-    labels = np.concatenate(labs)
+        block = features[bounds[c] : bounds[c + 1]]
+        gen.standard_normal(out=block)
+        block += centroids[c]
 
     n_seen = cfg.n_seen
     seen = tuple(range(n_seen))
     novel = tuple(range(n_seen, cfg.k_total))
 
     labeled_mask = np.zeros(labels.size, dtype=bool)
-    offset = 0
-    for c in range(cfg.k_total):
-        if c < n_seen:
-            n_lab = int(round(cfg.label_ratio * sizes[c]))
-            labeled_mask[offset : offset + n_lab] = True
-        offset += sizes[c]
+    for c in range(n_seen):
+        labeled_mask[bounds[c] : bounds[c] + int(round(cfg.label_ratio * sizes[c]))] = True
 
     lab_idx = np.flatnonzero(labeled_mask)
     unlab_idx = np.flatnonzero(~labeled_mask)
@@ -221,7 +218,9 @@ class ToyModel:
     input_scale: float = 1.0
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ (x / self.input_scale).T + self.bias[:, None]
+        out = self.weights @ (x / self.input_scale).T
+        out += self.bias[:, None]
+        return out
 
     def predict(self, x: np.ndarray) -> ProbMatrix:
         return ProbMatrix._trusted(softmax(self.logits(x)))

@@ -150,20 +150,22 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
 
 
 def _entropic_plan(
-    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig, out: np.ndarray
+    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig, q: np.ndarray
 ) -> tuple[int, float]:
     """Scale exp(log(p)/epsilon) to match row_targets / unit column sums.
 
     Dual potentials are iterated with log-sum-exp reductions so small
     epsilon values cannot underflow. Zero row targets are honored exactly
-    (the corresponding rows of the plan are zero). Writes the plan into
-    `out` and returns the number of row+column update pairs performed and
-    the final L1 row error (columns are exact by construction after every
-    column update).
+    (the corresponding rows of the plan are zero). Writes the plan into the
+    last columns of the C-contiguous `q`, whose storage also holds the log
+    kernel until then, so the rest of `q` is left undefined. Returns the
+    number of row+column update pairs performed and the final L1 row error
+    (columns are exact by construction after every column update).
     """
     k, n = p_block.shape
-    # one contiguous buffer: the clipped copy, its log, then the log / epsilon
-    log_kernel = np.clip(p_block, PROB_FLOOR, None)
+    # one contiguous K x n block at the start of q: the clipped copy, its log,
+    # then the log / epsilon; the final exp reads it before overwriting it
+    log_kernel = np.clip(p_block, PROB_FLOOR, None, out=q.reshape(-1)[: k * n].reshape(k, n))
     np.log(log_kernel, out=log_kernel)
     log_kernel /= cfg.epsilon
     with np.errstate(divide="ignore"):
@@ -180,16 +182,20 @@ def _entropic_plan(
     while True:
         row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
         last = iters == cfg.max_iters
-        if last or (iters > 0 and cfg.tol > 0):
+        checked = last or (iters > 0 and cfg.tol > 0)
+        if checked:
             row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
             if last or row_err <= cfg.tol:
                 break
-        f = log_rows - row_lse
+        f_next = log_rows - row_lse
+        if checked and np.array_equal(f_next, f):
+            break  # f, and so g, would repeat bit for bit up to the cap
+        f = f_next
         g = -_lse(log_kernel, f[:, None], 0, work, floor)
         iters += 1
     np.add(log_kernel, f[:, None], out=work)
     work += g[None, :]
-    np.exp(work, out=out)
+    np.exp(work, out=q[:, q.shape[1] - n:])
     return iters, row_err
 
 
@@ -214,18 +220,15 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     # the deficit that residual_row_marginals clamps to zero
     clamped = bool(np.any(n * prior.probs - counts < 0))
 
-    q = np.zeros((k, n))
-    if n_labeled:
-        q[labels, np.arange(n_labeled)] = 1.0
-
+    q = np.empty((k, n))
     n_unlabeled = n - n_labeled
     iters_used = 0
     solver_err = 0.0
     if n_unlabeled > 0:
         residual = residual_row_marginals(prior, counts, n)
-        iters_used, solver_err = _entropic_plan(
-            p.data[:, n_labeled:], residual, cfg, out=q[:, n_labeled:]
-        )
+        iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg, q)
+    q[:, :n_labeled] = 0.0
+    q[labels, np.arange(n_labeled)] = 1.0
 
     assignment = ProbMatrix(q)
     row_err, col_err = marginal_error(assignment, n * prior.probs, np.ones(n))

@@ -61,3 +61,11 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'owssl' has no attribute 'no_such_name'"):
         owssl.no_such_name
     assert not hasattr(owssl, "softmax_")
+
+
+def test_name_follows_its_module_binding(monkeypatch):
+    original = owssl.solve_conditional
+    monkeypatch.setattr(owssl.sinkhorn, "solve_conditional", len)
+    assert owssl.solve_conditional is len
+    monkeypatch.undo()
+    assert owssl.solve_conditional is original is owssl.sinkhorn.solve_conditional
