@@ -184,7 +184,10 @@ def _entropic_plan(
         last = iters == cfg.max_iters
         checked = last or (iters > 0 and cfg.tol > 0)
         if checked:
-            row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
+            # at a tiny epsilon the kernel's rounding alone can overflow this
+            # exp; the inf it returns is the error to report, not a fault
+            with np.errstate(over="ignore"):
+                row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
             if last or row_err <= cfg.tol:
                 break
         f_next = log_rows - row_lse

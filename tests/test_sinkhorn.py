@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from owssl import sinkhorn
-from owssl.core import ClassPrior, LabeledBlock, ProbMatrix, ShapeMismatch
+from owssl.core import ClassPrior, LabeledBlock, ProbMatrix, ShapeMismatch, softmax
 from owssl.sinkhorn import (
     Assignment,
     DegeneratePrior,
@@ -192,6 +192,18 @@ class TestUnconditional:
         assert not out.converged
         assert out.iters_used == 3
         assert out.row_marginal_err > 0
+
+    def test_tiny_epsilon_warns_only_no_convergence(self):
+        # at eps 1e-300 the log kernel's rounding alone pushes the row-error
+        # check's exponent past overflow; that inf is the error it reports,
+        # not a numpy warning (pytest turns RuntimeWarnings into errors)
+        rng = np.random.default_rng(0)
+        logits = rng.standard_normal((3, 90))
+        logits[rng.integers(0, 3, size=90), np.arange(90)] += 2.0
+        p = ProbMatrix(softmax(logits))
+        with pytest.warns(NoConvergence):
+            out = solve_unconditional(p, ClassPrior.uniform(3), SinkhornConfig(1e-300, 1000, 1e-9))
+        assert not out.converged
 
     def test_large_epsilon_columns_approach_prior(self):
         rng = np.random.default_rng(0)
