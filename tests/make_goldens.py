@@ -17,10 +17,12 @@ reports a fault in the summation, not a stale golden; do not regenerate
 it to match one numpy build's reduction order.
 
 `train_variants.json` maps each `train` path of `train_variants()` to the
-sha256 of its run log, weights and bias. A change that moves a path on
-purpose regenerates it and says which digests moved and why.
+sha256 of its run log, weights and bias, and `solve_variants.json` each
+solver path of `solve_variants()` to the sha256 of its plan and report
+fields. A change that moves a path on purpose regenerates the table and
+says which digests moved and why.
 
-The `train` and `solve` goldens and the digest table hold only within one
+The `train` and `solve` goldens and the digest tables hold only within one
 numpy/BLAS build and CPU path (see the README); `GOLDEN_BUILD` names the
 build, numpy's enabled SIMD dispatch targets and the OpenBLAS kernel they
 were last verified on, and a failing comparison prints it next to
@@ -142,6 +144,74 @@ def train_variant_digests() -> dict[str, str]:
     return digests
 
 
+def solve_variants() -> dict[str, tuple]:
+    """The solver paths the digest table covers, by name, as (p, prior, labeled, config).
+
+    One seeded K=20, N=600 instance with 150 labeled columns, its prior
+    either covering every labeled class count or leaving the last class
+    over budget (so its residual marginal clamps), crossed with four
+    profiles and with conditional (labeled is a LabeledBlock) or
+    unconditional (labeled is None) solves. Two more rows: a K=100 sharp
+    solve whose shifted exponents reach the exp floor, and a 3 x 6 instance
+    at eps 0.002 that stalls short of tol 1e-11, capped at 2000 iterations.
+    """
+    from owssl.core import ClassPrior, LabeledBlock, ProbMatrix
+    from owssl.sinkhorn import SinkhornConfig
+
+    rng = np.random.default_rng(21)
+    k, n, n_labeled = 20, 600, 150
+    p = ProbMatrix(rng.dirichlet(np.full(k, 0.5), size=n).T)
+    within = ClassPrior(rng.dirichlet(np.full(k, 10.0)))
+    labeled = LabeledBlock(rng.integers(0, k, size=n_labeled))
+    over = within.probs.copy()
+    over[-1] = np.bincount(labeled.labels, minlength=k)[-1] / (2 * n)
+    priors = {"within": within, "over": ClassPrior.normalized(over)}
+    profiles = {
+        "training": SinkhornConfig(0.5, 10),
+        "verification": SinkhornConfig.verification(0.1),
+        "sharp": SinkhornConfig(0.02, 100),
+        "eps 1e-300": SinkhornConfig.verification(1e-300),
+    }
+    variants = {}
+    for budget, prior in priors.items():
+        for profile, cfg in profiles.items():
+            for conditional in (True, False):
+                name = f"budget={budget},profile={profile},conditional={conditional}"
+                variants[name] = (p, prior, labeled if conditional else None, cfg)
+
+    rng = np.random.default_rng(100)
+    wide = ProbMatrix(rng.dirichlet(np.full(100, 0.5), size=500).T)
+    variants["K=100,profile=sharp,conditional=True"] = (
+        wide, ClassPrior.uniform(100), LabeledBlock(rng.integers(0, 100, size=125)), profiles["sharp"])
+    stall = ProbMatrix(np.random.default_rng(11).dirichlet(np.ones(3), size=6).T)
+    variants["stall 3x6,eps=0.002,tol=1e-11"] = (
+        stall, ClassPrior.uniform(3), None, SinkhornConfig(0.002, 2000, 1e-11))
+    return variants
+
+
+def solve_variant_digests() -> dict[str, str]:
+    """sha256 of each variant's plan bytes and report fields, solved in process."""
+    import hashlib
+    import warnings
+
+    from owssl.sinkhorn import NoConvergence, solve_conditional, solve_unconditional
+
+    digests = {}
+    for name, (p, prior, labeled, cfg) in solve_variants().items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoConvergence)  # a reported field, digested below
+            if labeled is None:
+                out = solve_unconditional(p, prior, cfg)
+            else:
+                out = solve_conditional(p, prior, labeled, cfg)
+        h = hashlib.sha256(out.q.data.tobytes())
+        report = [out.row_marginal_err, out.col_marginal_err, out.iters_used, out.converged,
+                  out.residual_clamped]
+        h.update(json.dumps(report).encode())
+        digests[name] = h.hexdigest()
+    return digests
+
+
 class Golden(NamedTuple):
     argv: tuple[str, ...]  # {golden} stands for tests/golden/, {out} for the output directory
     files: tuple[str, ...]  # what the command writes into {out}, each compared with golden/<name>/
@@ -259,6 +329,7 @@ def main() -> None:
                 shutil.copyfile(out / file, GOLDEN / name / file)
                 print(f"rewrote {name}/{file}")
     (GOLDEN / "train_variants.json").write_text(json.dumps(train_variant_digests(), indent=2) + "\n")
+    (GOLDEN / "solve_variants.json").write_text(json.dumps(solve_variant_digests(), indent=2) + "\n")
 
     print(f"golden files checked under {GOLDEN}")
 

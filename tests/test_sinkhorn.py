@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from owssl.sinkhorn import (
     solve_unconditional,
 )
 
+from make_goldens import GOLDEN, build_note, solve_variant_digests, solve_variants
 from oracles import (
     log_domain_plan,
     lp_assignment_values,
@@ -445,3 +447,27 @@ class TestConditional:
             assert out.row_marginal_err <= 1e-6
             assert out.col_marginal_err <= 1e-6
             assert out.converged
+
+
+class TestDigestTable:
+    def test_solve_variants_reproduce_digest_table(self):
+        # the solve golden is one K=2 path; the table pins both budgets, four
+        # profiles and conditioning on a K=20 instance, the exp floor at K=100
+        # and a stalled small-epsilon solve
+        fresh = solve_variant_digests()
+        golden = json.loads((GOLDEN / "solve_variants.json").read_text())
+        moved = sorted(name for name in fresh.keys() | golden.keys() if fresh.get(name) != golden.get(name))
+        assert not moved, f"{build_note('solve_variants.json')}; moved: {moved}"
+
+    def test_wide_row_runs_with_the_exp_floor(self, monkeypatch):
+        floors = []
+        real = sinkhorn._lse
+
+        def spy(*args):
+            floors.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse", spy)
+        p, prior, labeled, cfg = solve_variants()["K=100,profile=sharp,conditional=True"]
+        solve_conditional(p, prior, labeled, cfg)
+        assert floors and all(floors)
