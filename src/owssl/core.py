@@ -111,18 +111,11 @@ class ProbMatrix:
         if bad.any():
             col = int(np.argmax(bad))
             raise ColumnNotNormalized(col, sums[col])
-        mat = mat.copy()
-        mat.flags.writeable = False
+        # a frozen array that owns its data is kept; what a caller could still write to is copied
+        if mat.flags.writeable or not mat.flags.owndata:
+            mat = mat.copy()
+            mat.flags.writeable = False
         object.__setattr__(self, "data", mat)
-
-    @classmethod
-    def _trusted(cls, data: np.ndarray) -> "ProbMatrix":
-        # a float64 K x N array of column distributions that the toolkit
-        # computed itself: frozen in place, neither checked nor copied
-        data.flags.writeable = False
-        pm = object.__new__(cls)
-        object.__setattr__(pm, "data", data)
-        return pm
 
     @property
     def k(self) -> int:
@@ -181,6 +174,16 @@ class LabeledBlock:
     @property
     def n(self) -> int:
         return self.labels.size
+
+
+def _trusted(cls, **fields):
+    # a frozen `cls` of values the toolkit computed: not checked, not copied, arrays frozen in place
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _mix64(x: int) -> int:

@@ -22,6 +22,7 @@ from .core import (
     ProbMatrix,
     Rng,
     ShapeMismatch,
+    _trusted,
     softmax,
 )
 from .evaluation import clustering_report, manhattan_bias
@@ -182,7 +183,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     n_labeled = lab_idx.size
     n_unlabeled = unlab_idx.size
     partition = PartitionSpec(cfg.k_total, seen, novel, n_labeled, n_unlabeled)
-    labeled = LabeledBlock(labels[:n_labeled])
+    labeled = _trusted(LabeledBlock, labels=labels[:n_labeled])
     return SyntheticDataset(features, labels, partition, labeled, cfg)
 
 
@@ -223,7 +224,7 @@ class ToyModel:
         return out
 
     def predict(self, x: np.ndarray) -> ProbMatrix:
-        return ProbMatrix._trusted(softmax(self.logits(x)))
+        return _trusted(ProbMatrix, data=softmax(self.logits(x)))
 
 
 class LogitQueue:
@@ -394,8 +395,8 @@ def _solve_queue(queue: LogitQueue, prior: ClassPrior, cfg: SinkhornConfig, n_ba
     p_q, tags_q = queue.matrix()
     order = np.argsort(tags_q < 0, kind="stable")  # labeled first, order preserved
     n_lab = int((tags_q >= 0).sum())
-    block = LabeledBlock(tags_q[order[:n_lab]])
-    p_sorted = ProbMatrix._trusted(np.take(p_q, order, axis=1))
+    block = _trusted(LabeledBlock, labels=tags_q[order[:n_lab]])
+    p_sorted = _trusted(ProbMatrix, data=np.take(p_q, order, axis=1))
     assignment = solve_conditional(p_sorted, prior, block, cfg)
     newest = np.argsort(order)[-n_batch:]  # where the batch's columns went
     return np.take(assignment.q.data, newest, axis=1)

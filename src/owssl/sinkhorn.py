@@ -184,9 +184,7 @@ def _entropic_plan(
         last = iters == cfg.max_iters
         checked = last or (iters > 0 and cfg.tol > 0)
         if checked:
-            # at a tiny epsilon the kernel's rounding alone can overflow this
-            # exp; the inf it returns is the error to report, not a fault
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # at a tiny epsilon rounding alone can reach inf
                 row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
             if last or row_err <= cfg.tol:
                 break
@@ -217,7 +215,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     n_labeled = labels.size
     if n_labeled > n:
         raise ShapeMismatch(f"{n_labeled} labels for only {n} columns")
-    if n_labeled and (labels.min() < 0 or labels.max() >= k):
+    if n_labeled and labels.max() >= k:  # LabeledBlock holds no negative index
         raise IndexOutOfRange("labeled class index outside 0..K-1")
     counts = np.bincount(labels, minlength=k) if n_labeled else np.zeros(k, dtype=np.int64)
     # the deficit that residual_row_marginals clamps to zero
@@ -232,6 +230,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
         iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg, q)
     q[:, :n_labeled] = 0.0
     q[labels, np.arange(n_labeled)] = 1.0
+    q.flags.writeable = False  # so ProbMatrix keeps it instead of copying it
 
     assignment = ProbMatrix(q)
     row_err, col_err = marginal_error(assignment, n * prior.probs, np.ones(n))

@@ -122,6 +122,10 @@ def chi_square_statistic(observed, expected):
         raise ShapeMismatch(f"observed shape {obs.shape} does not end in expected shape {exp.shape}")
     if np.any(exp <= 0):
         raise NonPositiveExpected("expected counts must be strictly positive")
+    return _chi_square(obs, exp)
+
+
+def _chi_square(obs: np.ndarray, exp: np.ndarray):
     chi = functools.reduce(np.add, np.moveaxis(np.square(obs - exp) / exp, -1, 0))
     return float(chi) if chi.ndim == 0 else chi
 
@@ -147,6 +151,10 @@ def estimator_con(spec: PopulationSpec, labeled_counts) -> tuple[np.ndarray, np.
     bad = sums != spec.n_labeled
     if bad.any():
         raise CountMismatch(f"labeled counts sum to {int(sums[bad][0])}, expected {spec.n_labeled}")
+    return _estimate_con(spec, counts)
+
+
+def _estimate_con(spec: PopulationSpec, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = spec.n_total * spec.prior.probs - counts
     return a, a / spec.n_unlabeled
 
@@ -275,8 +283,8 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
                 counts = np.zeros((size, spec.k))
             else:
                 counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=size)
-            a_con, mu = estimator_con(spec, counts)
-            chi[start:start + size] = chi_square_statistic(a_con[:, live], expected_u)
+            a_con, mu = _estimate_con(spec, counts)
+            chi[start:start + size] = _chi_square(a_con[:, live], expected_u)
             mu_sq = np.square(mu)
             if start:
                 # numpy adds the rows of an axis-0 sum one at a time, in row
@@ -334,7 +342,7 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     # the unconditional estimate is a constant vector: its chi-square is
     # deterministic, equal to the closed form, with zero standard error
     a_uncon, _ = estimator_uncon(spec)
-    ecs_uncon_emp = chi_square_statistic(a_uncon[live], expected_u)
+    ecs_uncon_emp = _chi_square(a_uncon[live], expected_u)
 
     return EcsReport(
         ecs_uncon_closed=closed_uncon,

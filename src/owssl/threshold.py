@@ -11,11 +11,11 @@ a constant one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OwsslError, PartitionSpec, ShapeMismatch
+from .core import OwsslError, PartitionSpec, ShapeMismatch, _trusted
 
 
 class DegenerateGroup(OwsslError):
@@ -118,7 +118,8 @@ def update_state(state: ThresholdState, probs: np.ndarray) -> ThresholdState:
     if (~seen_samples).any():
         eta_novel = m * eta_novel + (1.0 - m) * float(conf[~seen_samples].mean())
 
-    return replace(state, zeta=zeta, eta_seen=eta_seen, eta_novel=eta_novel)
+    return _trusted(ThresholdState, zeta=zeta, eta_seen=eta_seen, eta_novel=eta_novel,
+                    momentum=m, partition=state.partition)
 
 
 def thresholds(state: ThresholdState) -> np.ndarray:
@@ -138,8 +139,8 @@ def thresholds(state: ThresholdState) -> np.ndarray:
 
 def make_pseudo_batch(probs: np.ndarray, tau: np.ndarray) -> PseudoBatch:
     """Argmax pseudo-labels of a K x B batch (ties to the lowest index), kept where conf > tau[label]."""
-    if probs.shape[0] != tau.size:
-        raise ShapeMismatch(f"matrix has {probs.shape[0]} rows, threshold vector has {tau.size}")
+    if probs.ndim != 2 or probs.shape[0] != tau.size:
+        raise ShapeMismatch(f"need a K x B matrix with K = {tau.size} thresholds, got shape {probs.shape}")
     conf = probs.max(axis=0)
     labels = probs.argmax(axis=0)
-    return PseudoBatch(conf > tau[labels], labels, conf)
+    return _trusted(PseudoBatch, mask=conf > tau[labels], labels=labels, confidences=conf)

@@ -43,6 +43,25 @@ class TestValidateProbMatrix:
             pm.data[0, 0] = 0.5
 
 
+    def test_copies_what_a_caller_can_still_write(self):
+        # a writable array, a read-only view of a writable base and a list are
+        # copied, so a later write cannot reach .data; a frozen array that
+        # owns its data is kept as it is
+        a = np.array([[0.25, 0.5], [0.75, 0.5]])
+        base = a.copy()
+        view = base.view()
+        view.flags.writeable = False
+        rows = a.tolist()
+        made = [ProbMatrix(a), ProbMatrix(view), ProbMatrix(rows)]
+        a[0, 0] = base[0, 0] = rows[0][0] = 0.5
+        for pm in made:
+            assert pm.data.tolist() == [[0.25, 0.5], [0.75, 0.5]]
+            assert not pm.data.flags.writeable
+        frozen = np.array([[0.25, 0.5], [0.75, 0.5]])
+        frozen.flags.writeable = False
+        assert ProbMatrix(frozen).data is frozen
+
+
 class TestClassPrior:
     def test_uniform(self):
         prior = ClassPrior.uniform(4)

@@ -1,5 +1,5 @@
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from owssl.harness import (
     train,
     weak_view,
 )
+from owssl.threshold import PseudoBatch, ThresholdState
 
 SMALL = SyntheticConfig(
     k_total=4,
@@ -399,6 +400,24 @@ class TestValidationBoundary:
                                 prior_mode="adaptive"))
         assert seen["solves"] > 0
         assert [inside for _, inside in seen["checks"]] == [True] * seen["solves"]
+
+    def test_train_checks_no_block_no_batch_and_one_state(self, monkeypatch):
+        # the labeled blocks and pseudo-label batches that data generation and
+        # training build, and every threshold update, skip the constructor
+        # checks; only ThresholdState.initial runs one, whatever the epochs
+        counts = Counter()
+        for cls in (LabeledBlock, PseudoBatch, ThresholdState):
+            def counted(obj, check=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                check(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        seen = []
+        for epochs in (1, 2):
+            counts.clear()
+            train(generate_dataset(SMALL), small_hyper(epochs=epochs))
+            seen.append(dict(counts))
+        assert seen == [{"ThresholdState": 1}] * 2
 
     def test_solve_checks_its_input_once(self, seen):
         from owssl.sinkhorn import SinkhornConfig, solve_conditional

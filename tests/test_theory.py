@@ -362,12 +362,24 @@ class TestMonteCarloPool:
         monte_carlo_ecs(WORKED, 100_000, Rng(8))
         assert threading.active_count() == before
 
+    def test_chunks_run_no_public_check(self, monkeypatch):
+        # the chunks score counts they drew themselves, through the unchecked
+        # formulas; the public functions are for counts from outside
+        want = report_bits(monte_carlo_ecs(TEN_CLASS, 45_000, Rng(5)))
+
+        def refuse(*args):
+            raise AssertionError("a public check ran on an internal path")
+
+        monkeypatch.setattr(theory, "estimator_con", refuse)
+        monkeypatch.setattr(theory, "chi_square_statistic", refuse)
+        assert report_bits(monte_carlo_ecs(TEN_CLASS, 45_000, Rng(5))) == want
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_error_reaches_caller_unchanged(self, monkeypatch, workers):
         # the third chi-square call raises; the caller sees that exception and
         # no pool thread is left behind
         monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
-        real = theory.chi_square_statistic
+        real = theory._chi_square
         calls = itertools.count()  # next() is atomic, so two workers never share a number
 
         def failing(observed, expected):
@@ -375,7 +387,7 @@ class TestMonteCarloPool:
                 raise ChunkFailure("chunk failed")
             return real(observed, expected)
 
-        monkeypatch.setattr(theory, "chi_square_statistic", failing)
+        monkeypatch.setattr(theory, "_chi_square", failing)
         before = threading.active_count()
         with pytest.raises(ChunkFailure, match="^chunk failed$"):
             monte_carlo_ecs(WORKED, 200_000, Rng(9))

@@ -131,6 +131,8 @@ class TestMakePseudoBatch:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             make_pseudo_batch(np.full((3, 2), 1 / 3), np.full(4, 0.5))
+        with pytest.raises(ShapeMismatch):  # one column, not a K x B batch
+            make_pseudo_batch(np.full(4, 1 / 4), np.full(4, 0.5))
 
 
 @st.composite
