@@ -163,7 +163,7 @@ class LabeledBlock:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)  # a copy: the caller keeps theirs
         if labels.ndim != 1:
             raise ShapeMismatch("labels must be a 1-D vector of class indices")
         if labels.size and labels.min() < 0:

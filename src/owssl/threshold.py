@@ -76,9 +76,9 @@ class PseudoBatch:
     confidences: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        conf = np.asarray(self.confidences, dtype=np.float64)
+        mask = np.array(self.mask, dtype=bool)  # copies: the caller keeps theirs
+        labels = np.array(self.labels, dtype=np.int64)
+        conf = np.array(self.confidences, dtype=np.float64)
         if not (mask.shape == labels.shape == conf.shape) or mask.ndim != 1:
             raise ShapeMismatch("mask, labels, and confidences must be equal-length vectors")
         for arr, name in ((mask, "mask"), (labels, "labels"), (conf, "confidences")):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from owssl.core import (
     ClassPrior,
     ColumnNotNormalized,
+    LabeledBlock,
     NegativeEntry,
     NonFiniteInput,
     PartitionSpec,
@@ -60,6 +61,12 @@ class TestValidateProbMatrix:
         frozen = np.array([[0.25, 0.5], [0.75, 0.5]])
         frozen.flags.writeable = False
         assert ProbMatrix(frozen).data is frozen
+
+    def test_labeled_block_copies_and_leaves_the_caller_writable(self):
+        labels = np.array([2, 0, 1])
+        block = LabeledBlock(labels)
+        labels[0] = 5
+        assert block.labels.tolist() == [2, 0, 1] and not block.labels.flags.writeable
 
 
 class TestClassPrior:

@@ -128,6 +128,14 @@ class TestMakePseudoBatch:
         for i in np.flatnonzero(batch.mask):
             assert batch.confidences[i] > tau[batch.labels[i]]
 
+    def test_constructor_copies_and_leaves_the_caller_writable(self):
+        mask, labels, conf = np.array([True, False]), np.array([1, 0]), np.array([0.9, 0.6])
+        batch = PseudoBatch(mask, labels, conf)
+        mask[0], labels[0], conf[0] = False, 0, 0.1
+        assert (batch.mask.tolist(), batch.labels.tolist(), batch.confidences.tolist()) == (
+            [True, False], [1, 0], [0.9, 0.6])
+        assert not any(a.flags.writeable for a in (batch.mask, batch.labels, batch.confidences))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             make_pseudo_batch(np.full((3, 2), 1 / 3), np.full(4, 0.5))
