@@ -43,7 +43,6 @@ class TestValidateProbMatrix:
         with pytest.raises(ValueError):
             pm.data[0, 0] = 0.5
 
-
     def test_copies_what_a_caller_can_still_write(self):
         # a writable array, a read-only view of a writable base and a list are
         # copied, so a later write cannot reach .data; a frozen array that
