@@ -151,9 +151,13 @@ def solve_variants() -> dict[str, tuple]:
     either covering every labeled class count or leaving the last class
     over budget (so its residual marginal clamps), crossed with four
     profiles and with conditional (labeled is a LabeledBlock) or
-    unconditional (labeled is None) solves. Two more rows: a K=100 sharp
-    solve whose shifted exponents reach the exp floor, and a 3 x 6 instance
-    at eps 0.002 that stalls short of tol 1e-11, capped at 2000 iterations.
+    unconditional (labeled is None) solves. Four more rows: a K=100 sharp
+    solve whose shifted exponents reach the exp floor; a K=100, N=2560
+    instance with 512 labeled columns, whose 204 800 unlabeled cells are
+    more than a 512 KiB buffer of 65 536 float64 cells holds, solved with
+    the sharp profile and with the verification profile and its last class
+    over budget; and a 3 x 6 instance at eps 0.002 that stalls short of tol
+    1e-11, capped at 2000 iterations.
     """
     from owssl.core import ClassPrior, LabeledBlock, ProbMatrix
     from owssl.sinkhorn import SinkhornConfig
@@ -183,6 +187,16 @@ def solve_variants() -> dict[str, tuple]:
     wide = ProbMatrix(rng.dirichlet(np.full(100, 0.5), size=500).T)
     variants["K=100,profile=sharp,conditional=True"] = (
         wide, ClassPrior.uniform(100), LabeledBlock(rng.integers(0, 100, size=125)), profiles["sharp"])
+    # 100 x 2048 unlabeled cells, more than 65 536 (512 KiB of float64)
+    rng = np.random.default_rng(2560)
+    big = ProbMatrix(rng.dirichlet(np.full(100, 0.5), size=2560).T)
+    big_labeled = LabeledBlock(rng.integers(0, 100, size=512))
+    big_over = np.full(100, 0.01)
+    big_over[-1] = np.bincount(big_labeled.labels, minlength=100)[-1] / (2 * 2560)
+    variants["K=100,N=2560,profile=sharp,conditional=True"] = (
+        big, ClassPrior.uniform(100), big_labeled, profiles["sharp"])
+    variants["K=100,N=2560,budget=over,profile=verification,conditional=True"] = (
+        big, ClassPrior.normalized(big_over), big_labeled, profiles["verification"])
     stall = ProbMatrix(np.random.default_rng(11).dirichlet(np.ones(3), size=6).T)
     variants["stall 3x6,eps=0.002,tol=1e-11"] = (
         stall, ClassPrior.uniform(3), None, SinkhornConfig(0.002, 2000, 1e-11))

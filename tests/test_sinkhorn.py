@@ -452,8 +452,9 @@ class TestConditional:
 class TestDigestTable:
     def test_solve_variants_reproduce_digest_table(self):
         # the solve golden is one K=2 path; the table pins both budgets, four
-        # profiles and conditioning on a K=20 instance, the exp floor at K=100
-        # and a stalled small-epsilon solve
+        # profiles and conditioning on a K=20 instance, the exp floor at K=100,
+        # two K=100 solves over more than 65 536 unlabeled cells and a stalled
+        # small-epsilon solve
         fresh = solve_variant_digests()
         golden = json.loads((GOLDEN / "solve_variants.json").read_text())
         moved = sorted(name for name in fresh.keys() | golden.keys() if fresh.get(name) != golden.get(name))
