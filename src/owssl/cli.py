@@ -145,7 +145,7 @@ def read_table(path, layout: str) -> np.ndarray:
             if len(parts) != n_cols:
                 raise ParseError(path, n_lines, f"expected {n_cols} columns, found {len(parts)}")
             try:
-                table[row] = [kind(v) for v in parts]
+                table[row] = parts  # numpy parses each string as float() / int() does
             except ValueError as exc:
                 raise ParseError(path, n_lines, str(exc)) from exc
             except OverflowError as exc:

@@ -129,13 +129,50 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
 # vanish when added to it: the sums keep their bytes.
 _EXP_FLOOR = -700.0
 
+# the solver's work buffer holds at most this many float64 cells (512 KiB),
+# whole rows of the log kernel, so it does not grow with N
+_WORK_CELLS = 1 << 16
+
 
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
          floor: bool = True) -> np.ndarray:
-    # log-sum-exp of log_kernel + shift that tolerates -inf entries (zero
-    # mass); the sum, its shifted copy and their exponentials are written
-    # into `work` in turn, so an iteration allocates no K x N temporaries.
-    # With `floor`, shifted arguments below _EXP_FLOOR are raised to it.
+    # log-sum-exp of log_kernel + shift through `work`, b whole rows of the
+    # C-ordered kernel at a time. Each row's sum is its own. Down the columns
+    # the exact peaks come first, last block first so that block 0's terms
+    # stay in `work`; the sums then run on in row order, each block's first
+    # row seeded with the sum so far: the order numpy adds one array's rows in.
+    k, b = len(log_kernel), len(work)
+    if b == k:
+        return _lse_whole(log_kernel, shift, axis, work, floor)
+    blocks = [(slice(r, r + b), work[: k - r]) for r in range(0, k, b)]
+    if axis == 1:
+        return np.concatenate([_lse_whole(log_kernel[s], shift, 1, w, floor) for s, w in blocks])
+    peak = np.full(log_kernel.shape[1], -np.inf)
+    for s, w in reversed(blocks):
+        np.add(log_kernel[s], shift[s], out=w)
+        np.maximum(peak, np.max(w, axis=0), out=peak)
+    finite = np.isfinite(peak)
+    safe = np.where(finite, peak, 0.0)
+    total = 0.0
+    for i, (s, w) in enumerate(blocks):
+        if i:
+            np.add(log_kernel[s], shift[s], out=w)
+        np.subtract(w, safe, out=w)
+        if floor:
+            np.maximum(w, np.where(finite, _EXP_FLOOR, -np.inf), out=w)
+        np.exp(w, out=w)
+        w[0] += total
+        total = np.sum(w, axis=0)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + safe
+
+
+def _lse_whole(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
+               floor: bool) -> np.ndarray:
+    # `_lse` with `work` the kernel's size, tolerating -inf entries (zero
+    # mass): the sum, its shifted copy and their exponentials are written into
+    # `work` in turn, so an iteration allocates no K x N temporaries. With
+    # `floor`, shifted arguments below _EXP_FLOOR are raised to it.
     np.add(log_kernel, shift, out=work)
     peak = np.max(work, axis=axis, keepdims=True)
     finite = np.isfinite(peak)
@@ -158,9 +195,10 @@ def _entropic_plan(
     epsilon values cannot underflow. Zero row targets are honored exactly
     (the corresponding rows of the plan are zero). Writes the plan into the
     last columns of the C-contiguous `q`, whose storage also holds the log
-    kernel until then, so the rest of `q` is left undefined. Returns the
-    number of row+column update pairs performed and the final L1 row error
-    (columns are exact by construction after every column update).
+    kernel until then, so the rest of `q` is left undefined; besides `q` it
+    holds one work buffer of at most _WORK_CELLS cells, whatever n is.
+    Returns the number of row+column update pairs performed and the final L1
+    row error (columns are exact by construction after every column update).
     """
     k, n = p_block.shape
     # one contiguous K x n block at the start of q: the clipped copy, its log,
@@ -177,7 +215,8 @@ def _entropic_plan(
     floor = 2 * np.ptp(log_kernel) + np.ptp(live) > -_EXP_FLOOR
     f = np.zeros(k)
     g = np.zeros(n)
-    work = np.empty_like(log_kernel)  # same layout, so the sums add in the same order
+    # numpy sums a one-column kernel pairwise, not row by row: it is never split
+    work = np.empty((k if n == 1 else max(1, min(k, _WORK_CELLS // n)), n))
     iters = 0
     while True:
         row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
@@ -194,9 +233,13 @@ def _entropic_plan(
         f = f_next
         g = -_lse(log_kernel, f[:, None], 0, work, floor)
         iters += 1
-    np.add(log_kernel, f[:, None], out=work)
-    work += g[None, :]
-    np.exp(work, out=q[:, q.shape[1] - n:])
+    # block r's plan starts at flat offset r * N + N_labeled >= r * n, so going
+    # last block first overwrites no kernel row that is still to be read
+    for r in reversed(range(0, k, len(work))):
+        w = work[: k - r]
+        np.add(log_kernel[r : r + len(w)], f[r : r + len(w), None], out=w)
+        w += g[None, :]
+        np.exp(w, out=q[r : r + len(w), q.shape[1] - n :])
     return iters, row_err
 
 

@@ -111,6 +111,36 @@ class TestFormats:
         assert err.value.line == line
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("layout", ["class-rows", "labels"])
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", " 2 ", "\u0967\u0968", "inf", "nan", "1e400", "0x1p3", "", "nope",
+         "99999999999999999999", "9" * 5000],
+        ids=["underscore", "spaces", "devanagari", "inf", "nan", "1e400", "hex-float", "empty",
+             "word", "past-int64", "past-digit-limit"],
+    )
+    def test_values_parse_as_float_and_int_do(self, tmp_path, layout, token):
+        # the reader hands each line's strings to numpy, which reads them by
+        # float() or int(): the same values, and the same faults as ParseErrors
+        path = tmp_path / "t.csv"
+        if layout == "class-rows":
+            header, kind, dtype = "# k=1 n=2 layout=class-rows", float, np.float64
+        else:
+            header, kind, dtype = "# n=2 layout=labels indexing=0-based", int, np.int64
+        path.write_text(f"{header}\n{token},1\n")
+        try:
+            want = np.array([kind(token), 1], dtype=dtype)
+        except ValueError as exc:
+            message = str(exc)
+        except OverflowError:
+            message = "integer out of range for int64"
+        else:
+            assert read_table(path, layout)[0].tobytes() == want.tobytes()
+            return
+        with pytest.raises(ParseError) as err:
+            read_table(path, layout)
+        assert err.value.line == 2 and str(err.value).endswith(f":2: {message}")
+
     def test_wrong_layout_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# k=2 n=1 layout=prior\n1.0\n0.0\n")

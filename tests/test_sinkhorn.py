@@ -50,59 +50,98 @@ class TestConfig:
         assert SinkhornConfig.verification().tol == 1e-9
 
 
+def two_temporary_case(axis, shape, order):
+    # zero-mass rows enter as -inf, both in the kernel and in the shift
+    rng = np.random.default_rng(shape[1] + axis)
+    k, n = shape
+    p = np.asarray(rng.dirichlet(np.ones(k), size=n).T, order=order)
+    log_kernel = np.log(p) / 0.05
+    log_kernel[1] = -np.inf
+    if axis == 0:
+        shift = rng.normal(scale=40.0, size=(k, 1))
+        shift[3] = -np.inf
+    else:
+        shift = rng.normal(scale=40.0, size=(1, n))
+    return log_kernel, shift
+
+
+def floor_edge_case(axis, order):
+    # each line holds its peak, terms exactly at and just below the floor,
+    # terms in the subnormal band and terms that underflow to zero, beside
+    # whole -inf kernel lines, -inf shift entries and one line with no finite
+    # term (line 3)
+    rng = np.random.default_rng(7 + axis)
+    k, n = 9, 40
+    offsets = np.array([0.0, _EXP_FLOOR, np.nextafter(_EXP_FLOOR, -np.inf), -720.0, -800.0])
+    # the other terms stay below the peak 0, so the offsets are the exact arguments
+    log_kernel = -rng.uniform(1.0, 900.0, size=(k, n))
+    if axis == 0:
+        log_kernel[: offsets.size] = offsets[:, None] + 5.0
+        log_kernel[:, 3] = -np.inf  # a line whose every term is -inf
+        log_kernel[6] = -np.inf  # a whole -inf kernel line across the reduction
+        shift = -rng.uniform(0.0, 5.0, size=(k, 1))
+        shift[: offsets.size] = -5.0
+        shift[7] = -np.inf
+    else:
+        log_kernel[:, : offsets.size] = offsets[None, :] + 5.0
+        log_kernel[3] = -np.inf
+        log_kernel[:, 6] = -np.inf
+        shift = -rng.uniform(0.0, 5.0, size=(1, n))
+        shift[:, : offsets.size] = -5.0
+        shift[:, 7] = -np.inf
+    return np.asarray(log_kernel, order=order), shift
+
+
+def lse_in_rows(log_kernel, shift, axis, rows, floor=True):
+    """`_lse` with a work buffer of `rows` whole kernel rows, checked bitwise against the oracle."""
+    got = _lse(log_kernel, shift, axis, np.empty((rows, log_kernel.shape[1])), floor)
+    want = lse_two_temporaries(log_kernel + shift, axis)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
 class TestLogSumExp:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_two_temporary_formula_bitwise(self, axis, shape, order):
-        # zero-mass rows enter as -inf, both in the kernel and in the shift;
         # numpy adds the terms of a sum in an order set by the array layout,
         # so the work buffer takes the kernel's
-        rng = np.random.default_rng(shape[1] + axis)
-        k, n = shape
-        p = np.asarray(rng.dirichlet(np.ones(k), size=n).T, order=order)
-        log_kernel = np.log(p) / 0.05
-        log_kernel[1] = -np.inf
-        if axis == 0:
-            shift = rng.normal(scale=40.0, size=(k, 1))
-            shift[3] = -np.inf
-        else:
-            shift = rng.normal(scale=40.0, size=(1, n))
+        log_kernel, shift = two_temporary_case(axis, shape, order)
         want = lse_two_temporaries(log_kernel + shift, axis)
         got = _lse(log_kernel, shift, axis, np.empty_like(log_kernel))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("rows", [1, 3, "K-1"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
+    def test_row_blocks_match_two_temporary_formula_bitwise(self, axis, shape, rows):
+        # a work buffer of fewer rows than the C-ordered kernel: the last
+        # block is short unless the rows divide K
+        log_kernel, shift = two_temporary_case(axis, shape, "C")
+        lse_in_rows(log_kernel, shift, axis, shape[0] - 1 if rows == "K-1" else rows)
+
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_floor_edge_cases_bitwise(self, axis, order):
-        # the floor is on (the default); each line holds its peak, terms
-        # exactly at and just below the floor, terms in the subnormal band and
-        # terms that underflow to zero, beside whole -inf kernel lines, -inf
-        # shift entries and one line with no finite term
-        rng = np.random.default_rng(7 + axis)
-        k, n = 9, 40
-        offsets = np.array([0.0, _EXP_FLOOR, np.nextafter(_EXP_FLOOR, -np.inf), -720.0, -800.0])
-        # the other terms stay below the peak 0, so the offsets are the exact arguments
-        log_kernel = -rng.uniform(1.0, 900.0, size=(k, n))
-        if axis == 0:
-            log_kernel[: offsets.size] = offsets[:, None] + 5.0
-            log_kernel[:, 3] = -np.inf  # a line whose every term is -inf
-            log_kernel[6] = -np.inf  # a whole -inf kernel line across the reduction
-            shift = -rng.uniform(0.0, 5.0, size=(k, 1))
-            shift[: offsets.size] = -5.0
-            shift[7] = -np.inf
-        else:
-            log_kernel[:, : offsets.size] = offsets[None, :] + 5.0
-            log_kernel[3] = -np.inf
-            log_kernel[:, 6] = -np.inf
-            shift = -rng.uniform(0.0, 5.0, size=(1, n))
-            shift[:, : offsets.size] = -5.0
-            shift[:, 7] = -np.inf
-        log_kernel = np.asarray(log_kernel, order=order)
+        # the floor is on (the default)
+        log_kernel, shift = floor_edge_case(axis, order)
         want = lse_two_temporaries(log_kernel + shift, axis)
         got = _lse(log_kernel, shift, axis, np.empty_like(log_kernel))
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_floor_edge_cases_in_row_blocks_bitwise(self, axis, rows):
+        # 1, 3 and K-1 rows of the 9-row kernel: down the columns, the -inf
+        # kernel line and the -inf shift entry fall in different blocks
+        got = lse_in_rows(*floor_edge_case(axis, "C"), axis, rows)
+        assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
+
+    def test_unfloored_row_blocks_bitwise(self):
+        log_kernel, shift = two_temporary_case(0, (40, 1024), "C")
+        lse_in_rows(log_kernel, shift, 0, 3, floor=False)
 
     @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5])
     def test_shifted_arguments_respect_the_floor_bound(self, eps):
@@ -289,6 +328,49 @@ class TestResidualRowMarginals:
             residual_row_marginals(ClassPrior.uniform(2), np.array([8, 8]), 10)
 
 
+def sharp_epsilon_work_rows(monkeypatch):
+    """Solve a K=12 sharp instance whose 220 unlabeled columns reach the exp
+    floor, check its plan bitwise against the unfloored log-domain oracle and
+    return the row counts of the work buffers `_lse` was given."""
+    floors, work_rows = [], set()
+
+    def recording(*args):
+        floors.append(args[4])
+        work_rows.add(len(args[3]))
+        return _lse(*args)
+
+    monkeypatch.setattr(sinkhorn, "_lse", recording)
+    rng = np.random.default_rng(0)
+    k, n, n_labeled, eps = 12, 300, 80, 0.02
+    truth = rng.integers(0, k, size=n)
+    truth[: n_labeled // 2] = 0
+    logits = 3.0 * rng.standard_normal((k, n))
+    logits[truth, np.arange(n)] += 15.0
+    p = np.exp(logits - logits.max(axis=0))
+    p = ProbMatrix(p / p.sum(axis=0))
+    prior = ClassPrior.uniform(k)
+    labels = truth[:n_labeled]
+    out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
+    assert len(floors) == 201 and all(floors)
+
+    residual = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
+    assert residual[0] == 0.0
+    plan, f, g, iters = log_domain_plan(p.data[:, n_labeled:], residual, eps, 100, 0.0)
+    assert out.iters_used == iters == 100
+    got = np.ascontiguousarray(out.q.data[:, n_labeled:])
+    np.testing.assert_array_equal(got.view(np.int64), plan.view(np.int64))
+
+    # the shifted exp arguments of both reductions at the final potentials
+    log_kernel = np.log(np.clip(p.data[:, n_labeled:], 1e-12, None)) / eps
+    rows = log_kernel + g[None, :]
+    cols = log_kernel[1:] + f[1:, None]
+    args = np.concatenate([(rows - rows.max(axis=1, keepdims=True)).ravel(),
+                           (cols - cols.max(axis=0, keepdims=True)).ravel()])
+    assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
+    assert np.mean(args <= -745.0) > 0.3
+    return work_rows
+
+
 class TestConditional:
     def test_all_labeled_pins_everything(self):
         rng = np.random.default_rng(1)
@@ -350,41 +432,25 @@ class TestConditional:
         # solve-b), with class 0 labeled beyond its budget so its residual
         # target is zero: the solver turns the floor on, and the floored exp
         # must leave every plan byte as is
-        floors = []
+        assert sharp_epsilon_work_rows(monkeypatch) == {12}
 
-        def recording(*args):
-            floors.append(args[4])
-            return _lse(*args)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_sharp_epsilon_in_row_blocks_matches_unfloored_log_domain_bitwise(self, monkeypatch, rows):
+        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows
+        monkeypatch.setattr(sinkhorn, "_WORK_CELLS", rows * 220)
+        assert sharp_epsilon_work_rows(monkeypatch) == {rows}
 
-        monkeypatch.setattr(sinkhorn, "_lse", recording)
-        rng = np.random.default_rng(0)
-        k, n, n_labeled, eps = 12, 300, 80, 0.02
-        truth = rng.integers(0, k, size=n)
-        truth[: n_labeled // 2] = 0
-        logits = 3.0 * rng.standard_normal((k, n))
-        logits[truth, np.arange(n)] += 15.0
-        p = np.exp(logits - logits.max(axis=0))
-        p = ProbMatrix(p / p.sum(axis=0))
-        prior = ClassPrior.uniform(k)
-        labels = truth[:n_labeled]
-        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
-        assert len(floors) == 201 and all(floors)
-
-        residual = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
-        assert residual[0] == 0.0
-        plan, f, g, iters = log_domain_plan(p.data[:, n_labeled:], residual, eps, 100, 0.0)
-        assert out.iters_used == iters == 100
-        got = np.ascontiguousarray(out.q.data[:, n_labeled:])
-        np.testing.assert_array_equal(got.view(np.int64), plan.view(np.int64))
-
-        # the shifted exp arguments of both reductions at the final potentials
-        log_kernel = np.log(np.clip(p.data[:, n_labeled:], 1e-12, None)) / eps
-        rows = log_kernel + g[None, :]
-        cols = log_kernel[1:] + f[1:, None]
-        args = np.concatenate([(rows - rows.max(axis=1, keepdims=True)).ravel(),
-                               (cols - cols.max(axis=0, keepdims=True)).ravel()])
-        assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
-        assert np.mean(args <= -745.0) > 0.3
+    def test_one_unlabeled_column_is_never_split(self, monkeypatch):
+        # numpy sums a K x 1 array pairwise, not row by row, so row blocks of
+        # a one-column kernel would add its terms in another order
+        monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 3)
+        rng = np.random.default_rng(1)
+        p, prior = random_instance(rng, 40, 41)
+        labels = rng.integers(0, 40, size=40)
+        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(0.5, 30, 0.0))
+        residual = residual_row_marginals(prior, np.bincount(labels, minlength=40), 41)
+        plan = log_domain_plan(p.data[:, 40:], residual, 0.5, 30, 0.0)[0]
+        np.testing.assert_array_equal(out.q.data[:, 40:].view(np.int64), plan.view(np.int64))
 
     def test_repeating_potentials_stop_early_with_the_capped_plan(self):
         # at a tiny epsilon the row potentials repeat bit for bit from the
@@ -402,22 +468,24 @@ class TestConditional:
         assert cap.q.data.tobytes() == five.q.data.tobytes()
 
     def test_plan_is_written_into_the_assignment(self):
-        # the solve holds the assignment q (B bytes) and one work array the
-        # size of its unlabeled block (U = 0.75 B here): about 1.9 B with the
-        # small vectors. The log kernel is built inside q, and ProbMatrix keeps
-        # the frozen q rather than copying it; a copy would add another B, a
-        # kernel of its own another U.
-        rng = np.random.default_rng(4)
-        k, n, n_labeled = 50, 2000, 500
-        p, prior = random_instance(rng, k, n)
-        block = LabeledBlock(rng.integers(0, k, size=n_labeled))
-        tracemalloc.start()
-        try:
-            out = solve_conditional(p, prior, block, SinkhornConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.95 * out.q.data.nbytes, (peak, out.q.data.nbytes)
+        # the solve holds the assignment q and one work buffer of at most
+        # _WORK_CELLS float64 cells, whole rows of the log kernel, plus vectors
+        # of length N (potentials, column peaks and sums): under a dozen. The
+        # log kernel is built inside q, and ProbMatrix keeps the frozen q
+        # rather than copying it; a copy would add another q.nbytes. The K=100
+        # case's unlabeled block is 2.4 MB, so a work array of its size fails.
+        for k, n, n_labeled in [(50, 2000, 500), (100, 4096, 1024)]:
+            rng = np.random.default_rng(4)
+            p, prior = random_instance(rng, k, n)
+            block = LabeledBlock(rng.integers(0, k, size=n_labeled))
+            tracemalloc.start()
+            try:
+                out = solve_conditional(p, prior, block, SinkhornConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = out.q.data.nbytes + 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+            assert peak <= bound, (k, n, peak, bound)
 
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)
