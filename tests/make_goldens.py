@@ -154,10 +154,11 @@ def solve_variants() -> dict[str, tuple]:
     unconditional (labeled is None) solves. Four more rows: a K=100 sharp
     solve whose shifted exponents reach the exp floor; a K=100, N=2560
     instance with 512 labeled columns, whose 204 800 unlabeled cells are
-    more than a 512 KiB buffer of 65 536 float64 cells holds, solved with
-    the sharp profile and with the verification profile and its last class
-    over budget; and a 3 x 6 instance at eps 0.002 that stalls short of tol
-    1e-11, capped at 2000 iterations.
+    more than the solver's work buffer of 65 536 float64 cells
+    (`sinkhorn._WORK_CELLS`) holds, so it runs in four row blocks, solved
+    with the sharp profile and with the verification profile and its last
+    class over budget; and a 3 x 6 instance at eps 0.002 that stalls short
+    of tol 1e-11, capped at 2000 iterations.
     """
     from owssl.core import ClassPrior, LabeledBlock, ProbMatrix
     from owssl.sinkhorn import SinkhornConfig
@@ -187,7 +188,7 @@ def solve_variants() -> dict[str, tuple]:
     wide = ProbMatrix(rng.dirichlet(np.full(100, 0.5), size=500).T)
     variants["K=100,profile=sharp,conditional=True"] = (
         wide, ClassPrior.uniform(100), LabeledBlock(rng.integers(0, 100, size=125)), profiles["sharp"])
-    # 100 x 2048 unlabeled cells, more than 65 536 (512 KiB of float64)
+    # 100 x 2048 unlabeled cells: four blocks of the solver's work buffer
     rng = np.random.default_rng(2560)
     big = ProbMatrix(rng.dirichlet(np.full(100, 0.5), size=2560).T)
     big_labeled = LabeledBlock(rng.integers(0, 100, size=512))
