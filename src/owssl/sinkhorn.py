@@ -129,8 +129,8 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
 # vanish when added to it: the sums keep their bytes.
 _EXP_FLOOR = -700.0
 
-# the solver's work buffer holds at most this many float64 cells (512 KiB),
-# whole rows of the log kernel, so it does not grow with N
+# the solver's work buffer: whole rows of the log kernel, at most this many
+# float64 cells (512 KiB) unless a single row is longer
 _WORK_CELLS = 1 << 16
 
 
@@ -196,7 +196,7 @@ def _entropic_plan(
     (the corresponding rows of the plan are zero). Writes the plan into the
     last columns of the C-contiguous `q`, whose storage also holds the log
     kernel until then, so the rest of `q` is left undefined; besides `q` it
-    holds one work buffer of at most _WORK_CELLS cells, whatever n is.
+    holds one work buffer of _WORK_CELLS cells at most (or a single row).
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
