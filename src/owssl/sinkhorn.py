@@ -9,6 +9,7 @@ and solves the reduced problem on the remaining columns.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +56,9 @@ class SinkhornConfig:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
+        if math.log(PROB_FLOOR) / float(self.epsilon) == -math.inf:
+            raise ValueError(
+                f"epsilon {self.epsilon!r} is too small: log({PROB_FLOOR}) / epsilon overflows")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol >= 0):
@@ -129,42 +133,33 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
 # vanish when added to it: the sums keep their bytes.
 _EXP_FLOOR = -700.0
 
-# the solver's work buffer: whole rows of the log kernel, at most this many
-# float64 cells (512 KiB) unless a single row is longer
+# the solver's work buffer: at most this many float64 cells (512 KiB), unless
+# one kernel row or two kernel columns are more
 _WORK_CELLS = 1 << 16
 
 
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
          floor: bool = True) -> np.ndarray:
-    # log-sum-exp of log_kernel + shift through `work`, b whole rows of the
-    # C-ordered kernel at a time. Each row's sum is its own. Down the columns
-    # the exact peaks come first, last block first so that block 0's terms
-    # stay in `work`; the sums then run on in row order, each block's first
-    # row seeded with the sum so far: the order numpy adds one array's rows in.
-    k, b = len(log_kernel), len(work)
-    if b == k:
+    # log-sum-exp of log_kernel + shift through `work`: whole if `work` has
+    # its shape, else in blocks of as many whole rows (axis 1) or columns
+    # (axis 0) of the C-ordered kernel as the flat `work` holds. numpy sums a
+    # K x c block's columns row by row, as the whole kernel's, but a K x 1
+    # block pairwise: a one-column remainder goes with the column before it.
+    if work.shape == log_kernel.shape:
         return _lse_whole(log_kernel, shift, axis, work, floor)
-    blocks = [(slice(r, r + b), work[: k - r]) for r in range(0, k, b)]
-    if axis == 1:
-        return np.concatenate([_lse_whole(log_kernel[s], shift, 1, w, floor) for s, w in blocks])
-    peak = np.full(log_kernel.shape[1], -np.inf)
-    for s, w in reversed(blocks):
-        np.add(log_kernel[s], shift[s], out=w)
-        np.maximum(peak, np.max(w, axis=0), out=peak)
-    finite = np.isfinite(peak)
-    safe = np.where(finite, peak, 0.0)
-    total = 0.0
-    for i, (s, w) in enumerate(blocks):
-        if i:
-            np.add(log_kernel[s], shift[s], out=w)
-        np.subtract(w, safe, out=w)
-        if floor:
-            np.maximum(w, np.where(finite, _EXP_FLOOR, -np.inf), out=w)
-        np.exp(w, out=w)
-        w[0] += total
-        total = np.sum(w, axis=0)
-    with np.errstate(divide="ignore"):
-        return np.log(total) + safe
+    lines = log_kernel.shape[1 - axis]
+    step = len(work) // log_kernel.shape[axis]
+    out = np.empty(lines)
+    for s in range(0, lines, step):
+        e = min(s + step, lines)
+        lo = s - 1 if axis == 0 and e - s == 1 and s else s
+        block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
+        w = work[: block.size].reshape(block.shape)
+        if axis == 0:  # numpy buffers a strided block's broadcast add, not a copy's
+            np.copyto(w, block)
+            block = w
+        out[s:e] = _lse_whole(block, shift, axis, w, floor)[s - lo :]
+    return out
 
 
 def _lse_whole(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
@@ -174,7 +169,7 @@ def _lse_whole(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.nd
     # `work` in turn, so an iteration allocates no K x N temporaries. With
     # `floor`, shifted arguments below _EXP_FLOOR are raised to it.
     np.add(log_kernel, shift, out=work)
-    peak = np.max(work, axis=axis, keepdims=True)
+    peak = np.maximum.reduce(work, axis=axis, keepdims=True)
     finite = np.isfinite(peak)
     safe = np.where(finite, peak, 0.0)
     np.subtract(work, safe, out=work)
@@ -182,8 +177,7 @@ def _lse_whole(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.nd
         np.maximum(work, np.where(finite, _EXP_FLOOR, -np.inf), out=work)
     np.exp(work, out=work)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(work, axis=axis)) + np.squeeze(safe, axis=axis)
-    return out
+        return np.log(np.add.reduce(work, axis=axis)) + np.squeeze(safe, axis=axis)
 
 
 def _entropic_plan(
@@ -196,7 +190,9 @@ def _entropic_plan(
     (the corresponding rows of the plan are zero). Writes the plan into the
     last columns of the C-contiguous `q`, whose storage also holds the log
     kernel until then, so the rest of `q` is left undefined; besides `q` it
-    holds one work buffer of _WORK_CELLS cells at most (or a single row).
+    holds one work buffer of _WORK_CELLS cells at most (or one kernel row or
+    two kernel columns, when the kernel is that large): rows go through it
+    in row blocks, columns in column blocks.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
@@ -211,12 +207,14 @@ def _entropic_plan(
     # g differs between columns by at most the kernel's span, and the finite f
     # between rows by that plus the spread of the log targets, so no shifted
     # argument falls below -(2 span + spread): floor only if that reaches it
+    # (compared in halves, which cannot overflow)
     live = log_rows[np.isfinite(log_rows)]
-    floor = 2 * np.ptp(log_kernel) + np.ptp(live) > -_EXP_FLOOR
+    floor = np.ptp(log_kernel) + np.ptp(live) / 2 > -_EXP_FLOOR / 2
     f = np.zeros(k)
     g = np.zeros(n)
-    # numpy sums a one-column kernel pairwise, not row by row: it is never split
-    work = np.empty((k if n == 1 else max(1, min(k, _WORK_CELLS // n)), n))
+    # the whole kernel, or as many of its rows as fit, at least one row and two columns
+    cells = max(_WORK_CELLS // n * n, n, min(n, 2) * k)
+    work = np.empty((k, n) if cells >= k * n else cells)
     iters = 0
     while True:
         row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
@@ -235,8 +233,9 @@ def _entropic_plan(
         iters += 1
     # block r's plan starts at flat offset r * N + N_labeled >= r * n, so going
     # last block first overwrites no kernel row that is still to be read
-    for r in reversed(range(0, k, len(work))):
-        w = work[: k - r]
+    rows = work.size // n
+    for r in reversed(range(0, k, rows)):
+        w = work.reshape(-1)[: n * min(rows, k - r)].reshape(-1, n)
         np.add(log_kernel[r : r + len(w)], f[r : r + len(w), None], out=w)
         w += g[None, :]
         np.exp(w, out=q[r : r + len(w), q.shape[1] - n :])

@@ -204,27 +204,29 @@ def solve_variants() -> dict[str, tuple]:
     return variants
 
 
-def solve_variant_digests() -> dict[str, str]:
-    """sha256 of each variant's plan bytes and report fields, solved in process."""
+def solve_variant_digest(p, prior, labeled, cfg) -> str:
+    """sha256 of one variant's plan bytes and report fields, solved in process."""
     import hashlib
     import warnings
 
     from owssl.sinkhorn import NoConvergence, solve_conditional, solve_unconditional
 
-    digests = {}
-    for name, (p, prior, labeled, cfg) in solve_variants().items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NoConvergence)  # a reported field, digested below
-            if labeled is None:
-                out = solve_unconditional(p, prior, cfg)
-            else:
-                out = solve_conditional(p, prior, labeled, cfg)
-        h = hashlib.sha256(out.q.data.tobytes())
-        report = [out.row_marginal_err, out.col_marginal_err, out.iters_used, out.converged,
-                  out.residual_clamped]
-        h.update(json.dumps(report).encode())
-        digests[name] = h.hexdigest()
-    return digests
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoConvergence)  # a reported field, digested below
+        if labeled is None:
+            out = solve_unconditional(p, prior, cfg)
+        else:
+            out = solve_conditional(p, prior, labeled, cfg)
+    h = hashlib.sha256(out.q.data.tobytes())
+    report = [out.row_marginal_err, out.col_marginal_err, out.iters_used, out.converged,
+              out.residual_clamped]
+    h.update(json.dumps(report).encode())
+    return h.hexdigest()
+
+
+def solve_variant_digests() -> dict[str, str]:
+    """`solve_variant_digest` of every variant, by name."""
+    return {name: solve_variant_digest(*variant) for name, variant in solve_variants().items()}
 
 
 class Golden(NamedTuple):

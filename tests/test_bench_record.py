@@ -45,6 +45,20 @@ def test_medians_quartiles_and_pair_wins(tmp_path):
     assert train["metrics"]["mc_trials_per_s"]["change_better_pairs"] == 3  # higher is better
 
 
+def test_main_writes_the_record_and_prints_one_line_per_metric(tmp_path, capsys):
+    walls = [(2.0, 1.5), (2.2, 2.3), (2.1, 1.6)]
+    parent = [write_log(tmp_path / f"p{i}.log", "solve", pw, 500.0 + i) for i, (pw, _) in enumerate(walls)]
+    change = [write_log(tmp_path / f"c{i}.log", "solve", cw, 510.0) for i, (_, cw) in enumerate(walls)]
+    out = tmp_path / "bench" / "BENCH_1.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    assert json.loads(out.read_text())["workloads"]["solve"]["pairs"] == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "solve wall_s 2.1 -> 1.6 s (2/3 pairs better; parent IQR 2.05-2.15)",
+        "solve mc_trials_per_s 501 -> 510 trials/s (3/3 pairs better; parent IQR 500.5-501.5)",
+    ]
+
+
 def test_mixed_fingerprints_refused(tmp_path):
     parent = [write_log(tmp_path / "p.log", "solve", 1.0, 1.0)]
     change = [write_log(tmp_path / "c.log", "solve", 1.0, 1.0, {**FINGERPRINT, "nproc": 4})]

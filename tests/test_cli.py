@@ -335,6 +335,13 @@ class TestExitCodes:
         assert result.stderr == "error: tol must be non-negative\n"
         assert not (tmp_path / "report.json").exists()
 
+    def test_epsilon_too_small_for_the_log_kernel_is_usage_error(self, tmp_path):
+        # log(1e-12) / 1e-320 is -inf: unrefused, the solve iterates on NaN potentials
+        result = run_cli(*golden_argv("solve", tmp_path), "--epsilon", "1e-320")
+        assert result.returncode == 2
+        assert result.stderr == "error: epsilon 1e-320 is too small: log(1e-12) / epsilon overflows\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_inconsistent_stated_prior_is_usage_error(self, tmp_path):
         result = run_cli(
             "theory",

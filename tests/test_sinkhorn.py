@@ -20,7 +20,7 @@ from owssl.sinkhorn import (
     solve_unconditional,
 )
 
-from make_goldens import GOLDEN, build_note, solve_variant_digests, solve_variants
+from make_goldens import GOLDEN, build_note, solve_variant_digest, solve_variant_digests, solve_variants
 from oracles import (
     log_domain_plan,
     lp_assignment_values,
@@ -43,6 +43,13 @@ class TestConfig:
             SinkhornConfig(epsilon=0.1, max_iters=0)
         with pytest.raises(ValueError):
             SinkhornConfig(epsilon=0.1, tol=-1.0)
+
+    @pytest.mark.parametrize("eps", [1e-320, 1.537e-307])
+    def test_epsilon_whose_log_kernel_overflows_is_refused(self, eps):
+        # log(PROB_FLOOR) / eps is -inf below about 1.5370266e-307
+        with pytest.raises(ValueError, match=f"epsilon {eps!r} is too small"):
+            SinkhornConfig(epsilon=eps)
+        assert SinkhornConfig(epsilon=1.5371e-307).epsilon == 1.5371e-307
 
     def test_profiles(self):
         assert SinkhornConfig().max_iters == 10
@@ -92,12 +99,28 @@ def floor_edge_case(axis, order):
     return np.asarray(log_kernel, order=order), shift
 
 
-def lse_in_rows(log_kernel, shift, axis, rows):
-    """`_lse` with a work buffer of `rows` whole kernel rows, checked bitwise against the oracle."""
-    got = _lse(log_kernel, shift, axis, np.empty((rows, log_kernel.shape[1])))
+def lse_in_blocks(monkeypatch, log_kernel, shift, axis, cells):
+    """`_lse` through a flat work buffer of `cells` cells, checked bitwise
+    against the oracle; returns its result and the shapes of its blocks."""
+    shapes = []
+    whole = sinkhorn._lse_whole
+
+    def recording(block, *args):
+        shapes.append(block.shape)
+        return whole(block, *args)
+
+    monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
+    got = _lse(log_kernel, shift, axis, np.empty(cells))
     want = lse_two_temporaries(log_kernel + shift, axis)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    return got
+    assert all(rows * cols <= cells for rows, cols in shapes)
+    return got, shapes
+
+
+def column_widths(n, cols):
+    # blocks of `cols` columns; a one-column remainder is summed beside the
+    # column before it, so it takes a block two columns wide
+    return [cols] * (n // cols) + ([n % cols] if n % cols > 1 else [2] if n % cols else [])
 
 
 class TestLogSumExp:
@@ -115,11 +138,41 @@ class TestLogSumExp:
     @pytest.mark.parametrize("rows", [1, 3, "K-1"])
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
-    def test_row_blocks_match_two_temporary_formula_bitwise(self, axis, shape, rows):
-        # a work buffer of fewer rows than the C-ordered kernel: the last
-        # block is short unless the rows divide K
+    def test_row_blocks_match_two_temporary_formula_bitwise(self, axis, shape, rows, monkeypatch):
+        # a work buffer of fewer kernel rows than the C-ordered kernel: the
+        # row pass takes that many rows a block, the last block short unless
+        # they divide K; the column pass as many whole columns as it holds
+        k, n = shape
+        rows = k - 1 if rows == "K-1" else rows
         log_kernel, shift = two_temporary_case(axis, shape, "C")
-        lse_in_rows(log_kernel, shift, axis, shape[0] - 1 if rows == "K-1" else rows)
+        shapes = lse_in_blocks(monkeypatch, log_kernel, shift, axis, rows * n)[1]
+        if axis == 1:
+            assert shapes == [(rows, n)] * (k // rows) + [(k % rows, n)] * (k % rows > 0)
+        else:
+            assert [cols for _, cols in shapes] == column_widths(n, rows * n // k)
+
+    @pytest.mark.parametrize("cols", [2, 3, "N-1"])
+    @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
+    def test_column_blocks_match_two_temporary_formula_bitwise(self, shape, cols, monkeypatch):
+        # a work buffer of `cols` kernel columns; every case but 1024 columns
+        # in blocks of 2 leaves a one-column remainder
+        k, n = shape
+        cols = n - 1 if cols == "N-1" else cols
+        log_kernel, shift = two_temporary_case(0, shape, "C")
+        shapes = lse_in_blocks(monkeypatch, log_kernel, shift, 0, cols * k)[1]
+        assert shapes == [(k, w) for w in column_widths(n, cols)]
+
+    def test_one_column_remainder_is_not_summed_alone(self, monkeypatch):
+        # numpy sums a K x 1 block pairwise, which moves some columns' bits at
+        # K=40: cut the kernel after such a column j, j a multiple of 3, so
+        # that in blocks of 3 columns it is the one-column remainder
+        log_kernel, shift = two_temporary_case(0, (40, 1024), "C")
+        want = lse_two_temporaries(log_kernel + shift, 0)
+        j = next(j for j in range(0, 1024, 3) if want[j] != sinkhorn._lse_whole(
+            log_kernel[:, j : j + 1], shift, 0, np.empty((40, 1)), True)[0])
+        kernel = np.ascontiguousarray(log_kernel[:, : j + 1])
+        shapes = lse_in_blocks(monkeypatch, kernel, shift, 0, 3 * 40)[1]
+        assert shapes == [(40, 3)] * (j // 3) + [(40, 2)]
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -133,11 +186,19 @@ class TestLogSumExp:
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("axis", [0, 1])
-    def test_floor_edge_cases_in_row_blocks_bitwise(self, axis, rows):
-        # 1, 3 and K-1 rows of the 9-row kernel, so that the floor-band rows,
-        # the -inf kernel line and the -inf shift entry fall in different
-        # blocks or share one
-        got = lse_in_rows(*floor_edge_case(axis, "C"), axis, rows)
+    def test_floor_edge_cases_in_row_blocks_bitwise(self, axis, rows, monkeypatch):
+        # a buffer of 1, 3 and K-1 rows of the 9 x 40 kernel (4, 13 and 35
+        # columns), so that the floor-band lines, the -inf kernel line and
+        # the -inf shift entry fall in different blocks or share one
+        got = lse_in_blocks(monkeypatch, *floor_edge_case(axis, "C"), axis, rows * 40)[0]
+        assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
+
+    @pytest.mark.parametrize("cols", [2, 3, 39])
+    def test_floor_edge_cases_in_column_blocks_bitwise(self, cols, monkeypatch):
+        # 40 = 3 * 13 + 1 = 39 + 1 columns: two of the three leave a
+        # one-column remainder
+        got, shapes = lse_in_blocks(monkeypatch, *floor_edge_case(0, "C"), 0, cols * 9)
+        assert shapes == [(9, w) for w in column_widths(40, cols)]
         assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
 
     @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5])
@@ -243,6 +304,14 @@ class TestUnconditional:
             out = solve_unconditional(p, ClassPrior.uniform(3), SinkhornConfig(1e-300, 1000, 1e-9))
         assert not out.converged
 
+    def test_near_smallest_epsilon_warns_only_no_convergence(self):
+        # at eps 2e-307 a floored entry's log is -1.38e308, so twice the log
+        # kernel's span overflows: the floor decision must not compute it
+        p = ProbMatrix(np.array([[1.0, 0.6, 0.3], [0.0, 0.4, 0.7]]))
+        with pytest.warns(NoConvergence):
+            out = solve_unconditional(p, ClassPrior.uniform(2), SinkhornConfig(2e-307, 50, 1e-9))
+        assert not out.converged
+
     def test_large_epsilon_columns_approach_prior(self):
         rng = np.random.default_rng(0)
         p, prior = random_instance(rng, 3, 5)
@@ -325,18 +394,24 @@ class TestResidualRowMarginals:
             residual_row_marginals(ClassPrior.uniform(2), np.array([8, 8]), 10)
 
 
-def sharp_epsilon_work_rows(monkeypatch):
+def sharp_epsilon_blocks(monkeypatch):
     """Solve a K=12 sharp instance whose 220 unlabeled columns reach the exp
     floor, check its plan bitwise against the unfloored log-domain oracle and
-    return the row counts of the work buffers `_lse` was given."""
-    floors, work_rows = [], set()
+    return, by axis, the distinct sequences of block shapes `_lse` went
+    through in one call."""
+    calls = []  # (axis, floor, block shapes) of each _lse call
+    whole = sinkhorn._lse_whole
 
     def recording(*args):
-        floors.append(args[4])
-        work_rows.add(len(args[3]))
+        calls.append((args[2], args[4], []))
         return _lse(*args)
 
+    def recording_block(block, *args):
+        calls[-1][2].append(block.shape)
+        return whole(block, *args)
+
     monkeypatch.setattr(sinkhorn, "_lse", recording)
+    monkeypatch.setattr(sinkhorn, "_lse_whole", recording_block)
     rng = np.random.default_rng(0)
     k, n, n_labeled, eps = 12, 300, 80, 0.02
     truth = rng.integers(0, k, size=n)
@@ -348,7 +423,7 @@ def sharp_epsilon_work_rows(monkeypatch):
     prior = ClassPrior.uniform(k)
     labels = truth[:n_labeled]
     out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
-    assert len(floors) == 201 and all(floors)
+    assert len(calls) == 201 and all(floor for _, floor, _ in calls)
 
     residual = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
     assert residual[0] == 0.0
@@ -365,7 +440,7 @@ def sharp_epsilon_work_rows(monkeypatch):
                            (cols - cols.max(axis=0, keepdims=True)).ravel()])
     assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
     assert np.mean(args <= -745.0) > 0.3
-    return work_rows
+    return {axis: {tuple(shapes) for a, _, shapes in calls if a == axis} for axis in (0, 1)}
 
 
 class TestConditional:
@@ -429,13 +504,15 @@ class TestConditional:
         # solve-b), with class 0 labeled beyond its budget so its residual
         # target is zero: the solver turns the floor on, and the floored exp
         # must leave every plan byte as is
-        assert sharp_epsilon_work_rows(monkeypatch) == {12}
+        assert sharp_epsilon_blocks(monkeypatch) == {0: {((12, 220),)}, 1: {((12, 220),)}}
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_sharp_epsilon_in_row_blocks_matches_unfloored_log_domain_bitwise(self, monkeypatch, rows):
-        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows
+        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows:
+        # 220 or 660 cells, 18 or 55 of its columns
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", rows * 220)
-        assert sharp_epsilon_work_rows(monkeypatch) == {rows}
+        columns = {1: ((12, 18),) * 12 + ((12, 4),), 3: ((12, 55),) * 4}[rows]
+        assert sharp_epsilon_blocks(monkeypatch) == {0: {columns}, 1: {((rows, 220),) * (12 // rows)}}
 
     def test_one_unlabeled_column_is_never_split(self, monkeypatch):
         # numpy sums a K x 1 array pairwise, not row by row, so row blocks of
@@ -466,8 +543,8 @@ class TestConditional:
 
     def test_plan_is_written_into_the_assignment(self):
         # the solve holds the assignment q and one work buffer of at most
-        # _WORK_CELLS float64 cells, whole rows of the log kernel, plus vectors
-        # of length N (potentials, column peaks and sums): under a dozen. The
+        # _WORK_CELLS float64 cells, whole rows or columns of the log kernel,
+        # plus vectors of length N (potentials, peaks and sums): under a dozen. The
         # log kernel is built inside q, and ProbMatrix keeps the frozen q
         # rather than copying it; a copy would add another q.nbytes. The K=100
         # case's unlabeled block is 2.4 MB, so a work array of its size fails.
@@ -537,3 +614,12 @@ class TestDigestTable:
         p, prior, labeled, cfg = solve_variants()["K=100,profile=sharp,conditional=True"]
         solve_conditional(p, prior, labeled, cfg)
         assert floors and all(floors)
+
+    def test_wide_row_keeps_its_digest_in_small_blocks(self, monkeypatch):
+        # 1125 cells: 3 of the 375 unlabeled columns' rows or 11 of the 100
+        # rows' columns, so each pass runs in 34 blocks, and both leave a
+        # one-line remainder (100 = 3 * 33 + 1, 375 = 11 * 34 + 1)
+        monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 1125)
+        name = "K=100,profile=sharp,conditional=True"
+        golden = json.loads((GOLDEN / "solve_variants.json").read_text())[name]
+        assert solve_variant_digest(*solve_variants()[name]) == golden

@@ -13,7 +13,9 @@ parent and change medians, the parent's quartiles, and in how many pairs the
 change was better (by the direction `BENCHMARK.json` gives the metric). It
 also holds the seeds, run counts, correctness and failure totals, and the
 environment fingerprint the runs printed; runs whose fingerprints differ are
-refused, since their numbers cannot be compared.
+refused, since their numbers cannot be compared. After writing the record it
+prints one line per workload and metric: the medians, the pairs won and the
+parent's quartiles.
 """
 
 from __future__ import annotations
@@ -106,6 +108,20 @@ def record(parent_logs: list[Path], change_logs: list[Path]) -> dict:
     }
 
 
+def summary_lines(payload: dict) -> list[str]:
+    """One line per workload and metric, in the form CHANGES.md quotes:
+    `<workload> <metric> <parent median> -> <change median> <unit>
+    (<k>/<n> pairs better; parent IQR a-b)`."""
+    lines = []
+    for workload, summary in payload["workloads"].items():
+        for name, m in summary["metrics"].items():
+            q1, q3 = m["parent_quartiles"]
+            lines.append(f"{workload} {name} {m['parent_median']:g} -> {m['change_median']:g} {m['unit']} "
+                         f"({m['change_better_pairs']}/{summary['pairs']} pairs better; "
+                         f"parent IQR {q1:g}-{q3:g})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", nargs="+", required=True, type=Path)
@@ -119,6 +135,7 @@ def main(argv=None) -> int:
         return 2
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print("\n".join(summary_lines(payload)))
     return 0
 
 
