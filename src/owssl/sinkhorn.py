@@ -137,6 +137,11 @@ _EXP_FLOOR = -700.0
 # one kernel row or two kernel columns are more
 _WORK_CELLS = 1 << 16
 
+# numpy's ufunc buffer size, in elements, while the solver runs: numpy 2.4
+# stages a broadcast add, subtract or maximum whose lines are shorter than
+# its buffer through it (a third of the solver's time at the default 8192)
+_UFUNC_BUFSIZE = 256
+
 
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
          floor: bool = True) -> np.ndarray:
@@ -155,9 +160,6 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
         lo = s - 1 if axis == 0 and e - s == 1 and s else s
         block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
         w = work[: block.size].reshape(block.shape)
-        if axis == 0:  # numpy buffers a strided block's broadcast add, not a copy's
-            np.copyto(w, block)
-            block = w
         out[s:e] = _lse_whole(block, shift, axis, w, floor)[s - lo :]
     return out
 
@@ -193,53 +195,59 @@ def _entropic_plan(
     holds one work buffer of _WORK_CELLS cells at most (or one kernel row or
     two kernel columns, when the kernel is that large): rows go through it
     in row blocks, columns in column blocks.
+    It sets this thread's ufunc buffer to _UFUNC_BUFSIZE elements and gives
+    the caller's size back however it leaves; the bytes do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
-    k, n = p_block.shape
-    # one contiguous K x n block at the start of q: the clipped copy, its log,
-    # then the log / epsilon; the final exp reads it before overwriting it
-    log_kernel = np.clip(p_block, PROB_FLOOR, None, out=q.reshape(-1)[: k * n].reshape(k, n))
-    np.log(log_kernel, out=log_kernel)
-    log_kernel /= cfg.epsilon
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(row_targets)
-    # g differs between columns by at most the kernel's span, and the finite f
-    # between rows by that plus the spread of the log targets, so no shifted
-    # argument falls below -(2 span + spread): floor only if that reaches it
-    # (compared in halves, which cannot overflow)
-    live = log_rows[np.isfinite(log_rows)]
-    floor = np.ptp(log_kernel) + np.ptp(live) / 2 > -_EXP_FLOOR / 2
-    f = np.zeros(k)
-    g = np.zeros(n)
-    # the whole kernel, or as many of its rows as fit, at least one row and two columns
-    cells = max(_WORK_CELLS // n * n, n, min(n, 2) * k)
-    work = np.empty((k, n) if cells >= k * n else cells)
-    iters = 0
-    while True:
-        row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
-        last = iters == cfg.max_iters
-        checked = last or (iters > 0 and cfg.tol > 0)
-        if checked:
-            with np.errstate(over="ignore"):  # at a tiny epsilon rounding alone can reach inf
-                row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
-            if last or row_err <= cfg.tol:
-                break
-        f_next = log_rows - row_lse
-        if checked and np.array_equal(f_next, f):
-            break  # f, and so g, would repeat bit for bit up to the cap
-        f = f_next
-        g = -_lse(log_kernel, f[:, None], 0, work, floor)
-        iters += 1
-    # block r's plan starts at flat offset r * N + N_labeled >= r * n, so going
-    # last block first overwrites no kernel row that is still to be read
-    rows = work.size // n
-    for r in reversed(range(0, k, rows)):
-        w = work.reshape(-1)[: n * min(rows, k - r)].reshape(-1, n)
-        np.add(log_kernel[r : r + len(w)], f[r : r + len(w), None], out=w)
-        w += g[None, :]
-        np.exp(w, out=q[r : r + len(w), q.shape[1] - n :])
-    return iters, row_err
+    old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        k, n = p_block.shape
+        # one contiguous K x n block at the start of q: the clipped copy, its log,
+        # then the log / epsilon; the final exp reads it before overwriting it
+        log_kernel = np.clip(p_block, PROB_FLOOR, None, out=q.reshape(-1)[: k * n].reshape(k, n))
+        np.log(log_kernel, out=log_kernel)
+        log_kernel /= cfg.epsilon
+        with np.errstate(divide="ignore"):
+            log_rows = np.log(row_targets)
+        # g differs between columns by at most the kernel's span, and the finite f
+        # between rows by that plus the spread of the log targets, so no shifted
+        # argument falls below -(2 span + spread): floor only if that reaches it
+        # (compared in halves, which cannot overflow)
+        live = log_rows[np.isfinite(log_rows)]
+        floor = np.ptp(log_kernel) + np.ptp(live) / 2 > -_EXP_FLOOR / 2
+        f = np.zeros(k)
+        g = np.zeros(n)
+        # the whole kernel, or as many of its rows as fit, at least one row and two columns
+        cells = max(_WORK_CELLS // n * n, n, min(n, 2) * k)
+        work = np.empty((k, n) if cells >= k * n else cells)
+        iters = 0
+        while True:
+            row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
+            last = iters == cfg.max_iters
+            checked = last or (iters > 0 and cfg.tol > 0)
+            if checked:
+                with np.errstate(over="ignore"):  # at a tiny epsilon rounding alone can reach inf
+                    row_err = float(np.abs(np.exp(f + row_lse) - row_targets).sum())
+                if last or row_err <= cfg.tol:
+                    break
+            f_next = log_rows - row_lse
+            if checked and np.array_equal(f_next, f):
+                break  # f, and so g, would repeat bit for bit up to the cap
+            f = f_next
+            g = -_lse(log_kernel, f[:, None], 0, work, floor)
+            iters += 1
+        # block r's plan starts at flat offset r * N + N_labeled >= r * n, so going
+        # last block first overwrites no kernel row that is still to be read
+        rows = work.size // n
+        for r in reversed(range(0, k, rows)):
+            w = work.reshape(-1)[: n * min(rows, k - r)].reshape(-1, n)
+            np.add(log_kernel[r : r + len(w)], f[r : r + len(w), None], out=w)
+            w += g[None, :]
+            np.exp(w, out=q[r : r + len(w), q.shape[1] - n :])
+        return iters, row_err
+    finally:
+        np.setbufsize(old_bufsize)
 
 
 def _check_prior(p: ProbMatrix, prior: ClassPrior) -> None:

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -561,6 +562,24 @@ class TestConditional:
             bound = out.q.data.nbytes + 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
             assert peak <= bound, (k, n, peak, bound)
 
+    def test_broadcast_ops_take_no_ufunc_buffer(self):
+        # past q and the work buffer, a solve of the benchmark's solve-a shape
+        # traces about 73 KB: its N-length vectors and small temporaries. Under
+        # numpy 2.4's default ufunc buffer of 8192 elements each broadcast add,
+        # subtract and maximum over a kernel block also allocated a buffer of
+        # about 64 KB, which took the same solve to about 122 KB.
+        rng = np.random.default_rng(4)
+        p, prior = random_instance(rng, 100, 4096)
+        block = LabeledBlock(rng.integers(0, 100, size=1024))
+        tracemalloc.start()
+        try:
+            out = solve_conditional(p, prior, block, SinkhornConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - out.q.data.nbytes - 8 * sinkhorn._WORK_CELLS
+        assert extra <= 96 * 1024, extra
+
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)
         p, prior = random_instance(rng, 3, 8)
@@ -623,3 +642,72 @@ class TestDigestTable:
         name = "K=100,profile=sharp,conditional=True"
         golden = json.loads((GOLDEN / "solve_variants.json").read_text())[name]
         assert solve_variant_digest(*solve_variants()[name]) == golden
+
+    @pytest.mark.parametrize("bufsize", [16, 8192])
+    def test_wide_rows_keep_their_digests_at_any_ufunc_buffer_size(self, bufsize, monkeypatch):
+        # 8192 is numpy's default; staging through the buffer changes no byte
+        monkeypatch.setattr(sinkhorn, "_UFUNC_BUFSIZE", bufsize)
+        golden = json.loads((GOLDEN / "solve_variants.json").read_text())
+        variants = {name: v for name, v in solve_variants().items() if name.startswith("K=100")}
+        assert len(variants) == 3
+        moved = [name for name, v in variants.items() if solve_variant_digest(*v) != golden[name]]
+        assert not moved, moved
+
+
+def small_solve():
+    rng = np.random.default_rng(5)
+    p, prior = random_instance(rng, 4, 30)
+    return p, prior, LabeledBlock(np.array([0, 1, 1])), SinkhornConfig()
+
+
+class TestUfuncBufferScope:
+    # the solver sets numpy's ufunc buffer size for its own thread and gives
+    # the caller's back however it leaves
+
+    def test_restored_after_a_solve(self):
+        before = np.getbufsize()
+        assert before != sinkhorn._UFUNC_BUFSIZE
+        solve_conditional(*small_solve())
+        assert np.getbufsize() == before
+
+    def test_restored_after_a_solve_that_raises(self, monkeypatch):
+        seen = []
+        real = sinkhorn._lse
+
+        def failing(*args):
+            seen.append(np.getbufsize())
+            if len(seen) == 3:
+                raise RuntimeError("third _lse call")
+            return real(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse", failing)
+        before = np.getbufsize()
+        with pytest.raises(RuntimeError, match="third _lse call"):
+            solve_conditional(*small_solve())
+        assert seen == [sinkhorn._UFUNC_BUFSIZE] * 3
+        assert np.getbufsize() == before
+
+    def test_other_threads_keep_theirs_during_a_solve(self, monkeypatch):
+        inside, checked = threading.Event(), threading.Event()
+        seen, results = [], []
+        real = sinkhorn._lse
+
+        def pausing(*args):
+            if not inside.is_set():
+                seen.append(np.getbufsize())
+                inside.set()
+                checked.wait(10)
+            return real(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse", pausing)
+        solver = threading.Thread(target=lambda: results.append(solve_conditional(*small_solve())))
+        before = np.getbufsize()
+        solver.start()
+        try:
+            assert inside.wait(10)
+            here = np.getbufsize()
+        finally:
+            checked.set()
+            solver.join()
+        assert seen == [sinkhorn._UFUNC_BUFSIZE] and len(results) == 1
+        assert here == before != sinkhorn._UFUNC_BUFSIZE
