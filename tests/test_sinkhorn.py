@@ -564,10 +564,10 @@ class TestConditional:
 
     def test_broadcast_ops_take_no_ufunc_buffer(self):
         # past q and the work buffer, a solve of the benchmark's solve-a shape
-        # traces about 73 KB: its N-length vectors and small temporaries. Under
+        # traces about 75 KB: its N-length vectors and small temporaries. Under
         # numpy 2.4's default ufunc buffer of 8192 elements each broadcast add,
         # subtract and maximum over a kernel block also allocated a buffer of
-        # about 64 KB, which took the same solve to about 122 KB.
+        # up to 64 KB, which took the same solve to about 125 KB.
         rng = np.random.default_rng(4)
         p, prior = random_instance(rng, 100, 4096)
         block = LabeledBlock(rng.integers(0, 100, size=1024))
