@@ -77,8 +77,7 @@ class SyntheticConfig:
             raise ValueError("cluster_separation must be positive")
         if not (0 <= self.weak_noise_sigma <= self.strong_noise_sigma):
             raise ValueError("need 0 <= weak_noise_sigma <= strong_noise_sigma")
-        n_seen = math.ceil((1.0 - self.novel_ratio) * self.k_total)
-        if n_seen >= self.k_total:
+        if self.n_seen >= self.k_total:
             raise ValueError("novel_ratio leaves no novel classes")
 
     @property

@@ -15,6 +15,12 @@ def _colwise_cross_entropy(targets: np.ndarray, preds: np.ndarray) -> np.ndarray
     return -(targets * np.log(np.maximum(preds, PROB_FLOOR))).sum(axis=0)
 
 
+def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    targets = np.zeros((k, labels.size))
+    targets[labels, np.arange(labels.size)] = 1.0
+    return targets
+
+
 def supervised_loss(labels, probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of K x B predictions against one-hot labels, and its gradient.
 
@@ -30,12 +36,8 @@ def supervised_loss(labels, probs: np.ndarray) -> tuple[float, np.ndarray]:
         raise ShapeMismatch(f"{idx.size} labels for {n} prediction columns")
     if idx.min() < 0 or idx.max() >= k:
         raise IndexOutOfRange("label index outside 0..K-1")
-    cols = np.arange(n)
-    value = float(-np.log(np.maximum(probs[idx, cols], PROB_FLOOR)).mean())
-    grad = probs.copy()
-    grad[idx, cols] -= 1.0
-    grad /= n
-    return value, grad
+    targets = _one_hot(idx, k)
+    return float(_colwise_cross_entropy(targets, probs).mean()), (probs - targets) / n
 
 
 def clustering_loss(q: np.ndarray, views: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
@@ -66,9 +68,6 @@ def confidence_loss(pseudo, probs: np.ndarray) -> tuple[float, np.ndarray]:
         raise ShapeMismatch(f"{pseudo.labels.size} pseudo-labels for {n} columns")
     if not pseudo.mask.any():
         return 0.0, np.zeros_like(probs)
-    cols = np.arange(n)
-    losses = -np.log(np.maximum(probs[pseudo.labels, cols], PROB_FLOOR))
-    grad = probs.copy()
-    grad[pseudo.labels, cols] -= 1.0
-    grad *= pseudo.mask / n
-    return float((losses * pseudo.mask).sum() / n), grad
+    targets = _one_hot(pseudo.labels, probs.shape[0])
+    losses = _colwise_cross_entropy(targets, probs)
+    return float((losses * pseudo.mask).sum() / n), (probs - targets) * (pseudo.mask / n)

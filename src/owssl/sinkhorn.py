@@ -147,9 +147,9 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
          floor: bool = True) -> np.ndarray:
     # log-sum-exp of log_kernel + shift through `work`: whole if `work` has
     # its shape, else in blocks of as many whole rows (axis 1) or columns
-    # (axis 0) of the C-ordered kernel as the flat `work` holds. numpy sums a
-    # K x c block's columns row by row, as the whole kernel's, but a K x 1
-    # block pairwise: a one-column remainder goes with the column before it.
+    # (axis 0) of the row-major kernel view as the flat `work` holds. numpy
+    # sums a K x c block's columns row by row, as the whole kernel's, but a
+    # K x 1 block pairwise: a one-column remainder goes with the one before.
     if work.shape == log_kernel.shape:
         return _lse_whole(log_kernel, shift, axis, work, floor)
     lines = log_kernel.shape[1 - axis]
@@ -183,18 +183,17 @@ def _lse_whole(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.nd
 
 
 def _entropic_plan(
-    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig, q: np.ndarray
+    p_block: np.ndarray, row_targets: np.ndarray, cfg: SinkhornConfig, out: np.ndarray
 ) -> tuple[int, float]:
     """Scale exp(log(p)/epsilon) to match row_targets / unit column sums.
 
     Dual potentials are iterated with log-sum-exp reductions so small
     epsilon values cannot underflow. Zero row targets are honored exactly
-    (the corresponding rows of the plan are zero). Writes the plan into the
-    last columns of the C-contiguous `q`, whose storage also holds the log
-    kernel until then, so the rest of `q` is left undefined; besides `q` it
-    holds one work buffer of _WORK_CELLS cells at most (or one kernel row or
-    two kernel columns, when the kernel is that large): rows go through it
-    in row blocks, columns in column blocks.
+    (the corresponding rows of the plan are zero). Builds the log kernel in
+    `out`, a row-major view of p_block's shape, and turns it into the plan
+    there; besides `out` it holds one work buffer of _WORK_CELLS cells at
+    most (or one kernel row or two kernel columns, when the kernel is that
+    large): rows go through it in row blocks, columns in column blocks.
     It sets this thread's ufunc buffer to _UFUNC_BUFSIZE elements and gives
     the caller's size back however it leaves; the bytes do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
@@ -203,9 +202,7 @@ def _entropic_plan(
     old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
     try:
         k, n = p_block.shape
-        # one contiguous K x n block at the start of q: the clipped copy, its log,
-        # then the log / epsilon; the final exp reads it before overwriting it
-        log_kernel = np.clip(p_block, PROB_FLOOR, None, out=q.reshape(-1)[: k * n].reshape(k, n))
+        log_kernel = np.clip(p_block, PROB_FLOOR, None, out=out)
         np.log(log_kernel, out=log_kernel)
         log_kernel /= cfg.epsilon
         with np.errstate(divide="ignore"):
@@ -237,14 +234,9 @@ def _entropic_plan(
             f = f_next
             g = -_lse(log_kernel, f[:, None], 0, work, floor)
             iters += 1
-        # block r's plan starts at flat offset r * N + N_labeled >= r * n, so going
-        # last block first overwrites no kernel row that is still to be read
-        rows = work.size // n
-        for r in reversed(range(0, k, rows)):
-            w = work.reshape(-1)[: n * min(rows, k - r)].reshape(-1, n)
-            np.add(log_kernel[r : r + len(w)], f[r : r + len(w), None], out=w)
-            w += g[None, :]
-            np.exp(w, out=q[r : r + len(w), q.shape[1] - n :])
+        log_kernel += f[:, None]
+        log_kernel += g[None, :]
+        np.exp(log_kernel, out=log_kernel)
         return iters, row_err
     finally:
         np.setbufsize(old_bufsize)
@@ -277,7 +269,7 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
     solver_err = 0.0
     if n_unlabeled > 0:
         residual = residual_row_marginals(prior, counts, n)
-        iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg, q)
+        iters_used, solver_err = _entropic_plan(p.data[:, n_labeled:], residual, cfg, q[:, n_labeled:])
     q[:, :n_labeled] = 0.0
     q[labels, np.arange(n_labeled)] = 1.0
     q.flags.writeable = False  # so ProbMatrix keeps it instead of copying it

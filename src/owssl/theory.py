@@ -217,8 +217,6 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
     r = r_i.sum()
     labeled_set = pl > 0
     unlabeled_set = pu > 0
-    if not labeled_set.any():
-        return False
     a = np.abs(r_i - r * pu)[labeled_set]
     b = (r * p)[unlabeled_set]
     root = math.sqrt(spec.n_unlabeled)

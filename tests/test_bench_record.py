@@ -54,8 +54,21 @@ def test_main_writes_the_record_and_prints_one_line_per_metric(tmp_path, capsys)
     assert bench_record.main(argv) == 0
     assert json.loads(out.read_text())["workloads"]["solve"]["pairs"] == 3
     assert capsys.readouterr().out.splitlines() == [
-        "solve wall_s 2.1 -> 1.6 s (2/3 pairs better; parent IQR 2.05-2.15)",
-        "solve mc_trials_per_s 501 -> 510 trials/s (3/3 pairs better; parent IQR 500.5-501.5)",
+        "solve wall_s 2.1 -> 1.6 s (2/3 pairs better; parent IQR 2.05-2.15; median -23.8 %, bound 25 %)",
+        "solve mc_trials_per_s 501 -> 510 trials/s "
+        "(3/3 pairs better; parent IQR 500.5-501.5; median +1.8 %, bound 25 %)",
+    ]
+
+
+def test_summary_flags_a_metric_worse_by_more_than_its_bound(tmp_path):
+    # wall_s is lower-better and 20 % worse, within its 0.25 bound;
+    # mc_trials_per_s is higher-better and 40 % worse, past it
+    parent = [write_log(tmp_path / "p.log", "train", 2.0, 500.0)]
+    change = [write_log(tmp_path / "c.log", "train", 2.4, 300.0)]
+    assert bench_record.summary_lines(bench_record.record(parent, change)) == [
+        "train wall_s 2 -> 2.4 s (0/1 pairs better; parent IQR 2-2; median +20.0 %, bound 25 %)",
+        "train mc_trials_per_s 500 -> 300 trials/s "
+        "(0/1 pairs better; parent IQR 500-500; median -40.0 %, bound 25 %: past bound)",
     ]
 
 

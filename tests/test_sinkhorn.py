@@ -545,10 +545,11 @@ class TestConditional:
     def test_plan_is_written_into_the_assignment(self):
         # the solve holds the assignment q and one work buffer of at most
         # _WORK_CELLS float64 cells, whole rows or columns of the log kernel,
-        # plus vectors of length N (potentials, peaks and sums): under a dozen. The
-        # log kernel is built inside q, and ProbMatrix keeps the frozen q
-        # rather than copying it; a copy would add another q.nbytes. The K=100
-        # case's unlabeled block is 2.4 MB, so a work array of its size fails.
+        # plus vectors of length N (potentials, peaks and sums): under a dozen.
+        # The log kernel is built in q's unlabeled columns, and ProbMatrix keeps
+        # the frozen q rather than copying it; a copy would add another
+        # q.nbytes. The K=100 case's unlabeled block is 2.4 MB, so a work array
+        # of its size fails.
         for k, n, n_labeled in [(50, 2000, 500), (100, 4096, 1024)]:
             rng = np.random.default_rng(4)
             p, prior = random_instance(rng, k, n)
@@ -561,6 +562,31 @@ class TestConditional:
                 tracemalloc.stop()
             bound = out.q.data.nbytes + 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
             assert peak <= bound, (k, n, peak, bound)
+
+    def test_plan_is_built_in_the_unlabeled_columns(self):
+        # the solver takes q's unlabeled columns, a strided view, and builds the
+        # log kernel and then the plan there: it leaves the labeled columns as
+        # they are and copies no view of q; a copy of the view would add its
+        # 2.4 MB, which the bound below does not hold
+        k, n, n_labeled = 100, 4096, 1024
+        rng = np.random.default_rng(4)
+        p, prior = random_instance(rng, k, n)
+        labels = rng.integers(0, k, size=n_labeled)
+        targets = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
+        p_block, cfg = p.data[:, n_labeled:], SinkhornConfig()
+        q = np.empty((k, n))
+        q[:, :n_labeled] = -7.0
+        tracemalloc.start()
+        try:
+            sinkhorn._entropic_plan(p_block, targets, cfg, q[:, n_labeled:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (q[:, :n_labeled] == -7.0).all()
+        plan = log_domain_plan(p_block, targets, cfg.epsilon, cfg.max_iters, cfg.tol)[0]
+        np.testing.assert_array_equal(q[:, n_labeled:].view(np.int64), plan.view(np.int64))
+        bound = 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+        assert peak <= bound, (peak, bound)
 
     def test_broadcast_ops_take_no_ufunc_buffer(self):
         # past q and the work buffer, a solve of the benchmark's solve-a shape

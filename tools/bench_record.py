@@ -14,8 +14,10 @@ change was better (by the direction `BENCHMARK.json` gives the metric). It
 also holds the seeds, run counts, correctness and failure totals, and the
 environment fingerprint the runs printed; runs whose fingerprints differ are
 refused, since their numbers cannot be compared. After writing the record it
-prints one line per workload and metric: the medians, the pairs won and the
-parent's quartiles.
+prints one line per workload and metric: the medians, the pairs won, the
+parent's quartiles and the relative move of the median, with the metric's
+`BENCHMARK.json` bound (a fraction of the parent median) if it has one, and
+`past bound` when the change is worse than the parent by more than it.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def parse_log(path: Path) -> dict:
     return run
 
 
-def directions() -> dict[str, str]:
+def metric_specs() -> dict[str, dict]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -60,15 +62,16 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, parent quartiles and pair wins for one workload."""
+def summarise(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> dict:
+    """Per-metric medians, parent quartiles, pair wins and bounds for one workload."""
     if len(parent) != len(change):
         raise ValueError(f"{len(parent)} parent runs against {len(change)} change runs")
     metrics = {}
     for name, first in parent[0]["result"]["metrics"].items():
         p = [run["result"]["metrics"][name]["value"] for run in parent]
         c = [run["result"]["metrics"][name]["value"] for run in change]
-        direction = better.get(name, "lower")
+        spec = specs.get(name, {})
+        direction = spec.get("better", "lower")
         sign = 1.0 if direction == "lower" else -1.0
         metrics[name] = {
             "unit": first["unit"],
@@ -77,6 +80,7 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "change_median": statistics.median(c),
             "parent_quartiles": quartiles(p),
             "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+            "bound": spec.get("bound"),
             "parent": p,
             "change": c,
         }
@@ -100,10 +104,10 @@ def record(parent_logs: list[Path], change_logs: list[Path]) -> dict:
     for side, side_runs in runs.items():
         for run in side_runs:
             grouped[run["workload"]][side].append(run)
-    better = directions()
+    specs = metric_specs()
     return {
         "fingerprint": json.loads(prints.pop()),
-        "workloads": {name: summarise(g["parent"], g["change"], better)
+        "workloads": {name: summarise(g["parent"], g["change"], specs)
                       for name, g in sorted(grouped.items())},
     }
 
@@ -111,14 +115,21 @@ def record(parent_logs: list[Path], change_logs: list[Path]) -> dict:
 def summary_lines(payload: dict) -> list[str]:
     """One line per workload and metric, in the form CHANGES.md quotes:
     `<workload> <metric> <parent median> -> <change median> <unit>
-    (<k>/<n> pairs better; parent IQR a-b)`."""
+    (<k>/<n> pairs better; parent IQR a-b; median <move> %[, bound <b> %[: past bound]])`."""
     lines = []
     for workload, summary in payload["workloads"].items():
         for name, m in summary["metrics"].items():
             q1, q3 = m["parent_quartiles"]
-            lines.append(f"{workload} {name} {m['parent_median']:g} -> {m['change_median']:g} {m['unit']} "
-                         f"({m['change_better_pairs']}/{summary['pairs']} pairs better; "
-                         f"parent IQR {q1:g}-{q3:g})")
+            line = (f"{workload} {name} {m['parent_median']:g} -> {m['change_median']:g} {m['unit']} "
+                    f"({m['change_better_pairs']}/{summary['pairs']} pairs better; "
+                    f"parent IQR {q1:g}-{q3:g}")
+            if m["parent_median"]:
+                move = (m["change_median"] - m["parent_median"]) / abs(m["parent_median"])
+                line += f"; median {100 * move:+.1f} %"
+                if m["bound"] is not None:
+                    worse = move if m["better"] == "lower" else -move
+                    line += f", bound {100 * m['bound']:g} %" + (": past bound" if worse > m["bound"] else "")
+            lines.append(line + ")")
     return lines
 
 
