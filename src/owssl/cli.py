@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, replace
+from dataclasses import MISSING, asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -306,7 +306,7 @@ def _load_run_config(path) -> tuple[harness.SyntheticConfig, harness.HyperParams
     sk = train.get("sinkhorn", {})
     _check_fields(sk, SinkhornConfig, "sinkhorn")
     hyper = harness.HyperParams(**{**train, "sinkhorn": SinkhornConfig(**sk)})
-    hyper.check_class_count(data_cfg.k_total)
+    hyper.check_queue(data_cfg.k_total, int(harness.class_sizes(data_cfg).sum()))
     seeds = payload.get("seeds", [hyper.seed])
     if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
         raise UsageError(f"config field 'seeds' must be a non-empty list of int, got {seeds!r}")
@@ -361,7 +361,7 @@ def cmd_train(args) -> int:
         _write_runlog(outdir, log)
         if args.emit_plot_data:
             _write_plot_data(outdir, log)
-        final = log.records[-1].to_dict() if log.records else None
+        final = asdict(log.records[-1]) if log.records else None
         _write_json(
             outdir / "metrics.json",
             {"schema_version": SCHEMA_VERSION, "epochs": len(log), "final": final},

@@ -116,7 +116,7 @@ def _place_centroids(
     k: int, dim: int, separation: float, gen: np.random.Generator, budget: int = 50_000
 ) -> np.ndarray:
     side = separation * (k ** (1.0 / dim) + 1.0)
-    for _ in range(30):
+    while True:  # `budget` ends a search that cannot succeed
         if not math.isfinite(side):
             raise InfeasibleSeparation(
                 f"no finite cube holds {k} centroids at separation {separation} in {dim} dims"
@@ -139,9 +139,6 @@ def _place_centroids(
         if placed == k:
             return centroids
         side *= 1.3
-    raise InfeasibleSeparation(
-        f"cannot place {k} centroids at separation {separation} in {dim} dims"
-    )
 
 
 def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
@@ -296,10 +293,16 @@ class HyperParams:
         if self.local_views < 0:
             raise ValueError("local_views must be non-negative")
 
-    def check_class_count(self, k: int) -> None:
-        """Refuse a queue too short for one column per class; `train` and the CLI both ask."""
+    def check_queue(self, k: int, n: int) -> None:
+        """Refuse a queue too short for one column per class or for the first
+        batch of a run on `n` samples; `train` and the CLI both ask."""
         if self.queue_capacity < k:
             raise ValueError("queue capacity must be at least the class count")
+        first_batch = min(self.batch_size, n)
+        if self.queue_capacity < first_batch:
+            raise ValueError(
+                f"queue capacity must be at least the first batch, min(batch_size, N) = {first_batch}"
+            )
 
 
 @dataclass(frozen=True)
@@ -321,9 +324,6 @@ class EpochRecord:
     prior_estimate: tuple[float, ...]
     thresholds: dict | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RunLog:
@@ -335,7 +335,7 @@ class RunLog:
         return len(self.records)
 
     def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
+        return [asdict(r) for r in self.records]
 
 
 def estimate_prior_adaptive(
@@ -492,7 +492,7 @@ def train(dataset: SyntheticDataset, hyper: HyperParams) -> tuple[ToyModel, RunL
     """
     part = dataset.partition
     k, dim, n = part.k_total, dataset.dim, dataset.n
-    hyper.check_class_count(k)
+    hyper.check_queue(k, n)
 
     rng = Rng(hyper.seed)
     gen_batch = rng.derive(1).generator()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -50,11 +52,10 @@ def clustering_loss(q: np.ndarray, views: Sequence[np.ndarray]) -> tuple[float, 
         raise ShapeMismatch("clustering_loss needs at least one view")
     denom = len(views) * q.shape[1]
     # per-view sums added in view order, then one division: the `train`
-    # golden holds the bytes of exactly this order
-    total = float(_colwise_cross_entropy(q, views[0]).sum())
-    for p in views[1:]:
-        total += float(_colwise_cross_entropy(q, p).sum())
-    return total / denom, [(p - q) / denom for p in views]
+    # golden holds the bytes of exactly this order, which built-in sum() does
+    # not keep from Python 3.12 on (it compensates its float additions)
+    sums = (float(_colwise_cross_entropy(q, p).sum()) for p in views)
+    return functools.reduce(operator.add, sums) / denom, [(p - q) / denom for p in views]
 
 
 def confidence_loss(pseudo, probs: np.ndarray) -> tuple[float, np.ndarray]:

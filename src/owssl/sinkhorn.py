@@ -242,24 +242,21 @@ def _entropic_plan(
         np.setbufsize(old_bufsize)
 
 
-def _check_prior(p: ProbMatrix, prior: ClassPrior) -> None:
-    if prior.k != p.k:
-        raise ShapeMismatch(f"prior has {prior.k} classes, matrix has {p.k} rows")
-    floor = np.min(prior.probs) * p.n
+def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornConfig) -> Assignment:
+    k, n = p.k, p.n
+    if prior.k != k:
+        raise ShapeMismatch(f"prior has {prior.k} classes, matrix has {k} rows")
+    floor = np.min(prior.probs) * n
     if floor < PROB_FLOOR:
         raise DegeneratePrior(
             f"smallest row marginal {floor!r} is below the {PROB_FLOOR} floor"
         )
-
-
-def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornConfig) -> Assignment:
-    k, n = p.k, p.n
     n_labeled = labels.size
     if n_labeled > n:
         raise ShapeMismatch(f"{n_labeled} labels for only {n} columns")
     if n_labeled and labels.max() >= k:  # LabeledBlock holds no negative index
         raise IndexOutOfRange("labeled class index outside 0..K-1")
-    counts = np.bincount(labels, minlength=k) if n_labeled else np.zeros(k, dtype=np.int64)
+    counts = np.bincount(labels, minlength=k)
     # the deficit that residual_row_marginals clamps to zero
     clamped = bool(np.any(n * prior.probs - counts < 0))
 
@@ -286,7 +283,6 @@ def _solve(p: ProbMatrix, prior: ClassPrior, labels: np.ndarray, cfg: SinkhornCo
 
 def solve_unconditional(p: ProbMatrix, prior: ClassPrior, cfg: SinkhornConfig) -> Assignment:
     """Assignment over all columns constrained only by the prior row marginals."""
-    _check_prior(p, prior)
     return _solve(p, prior, np.empty(0, dtype=np.int64), cfg)
 
 
@@ -300,5 +296,4 @@ def solve_conditional(
     residual row marginals. With an empty labeled block this reduces
     bitwise to `solve_unconditional`.
     """
-    _check_prior(p, prior)
     return _solve(p, prior, labeled.labels, cfg)

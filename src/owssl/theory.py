@@ -16,7 +16,7 @@ import collections
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,19 +93,9 @@ class EcsReport:
     trials: int
 
     def to_dict(self) -> dict:
-        return {
-            "ecs_uncon_closed": self.ecs_uncon_closed,
-            "ecs_con_closed": self.ecs_con_closed,
-            "ecs_uncon_empirical": self.ecs_uncon_empirical,
-            "ecs_uncon_se": self.ecs_uncon_se,
-            "ecs_con_empirical": self.ecs_con_empirical,
-            "ecs_con_se": self.ecs_con_se,
-            "bias_uncon": [float(b) for b in self.bias_uncon],
-            "bias_con": [float(b) for b in self.bias_con],
-            "bias_con_se": [float(b) for b in self.bias_con_se],
-            "ordering_condition": self.ordering_condition,
-            "trials": self.trials,
-        }
+        """The fields in order, arrays as lists of floats."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: [float(b) for b in v] if isinstance(v, np.ndarray) else v for name, v in values}
 
 
 def chi_square_statistic(observed, expected):
@@ -277,10 +267,7 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
         chi = np.empty(m)
         for start in range(0, m, _BLOCK):
             size = min(_BLOCK, m - start)
-            if spec.n_labeled == 0:
-                counts = np.zeros((size, spec.k))
-            else:
-                counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=size)
+            counts = gen.multinomial(spec.n_labeled, spec.prior_labeled.probs, size=size)
             a_con, mu = _estimate_con(spec, counts)
             chi[start:start + size] = _chi_square(a_con[:, live], expected_u)
             mu_sq = np.square(mu)
