@@ -474,10 +474,14 @@ class TestExitCodes:
             ("pred", "# n=2 layout=labels indexing=0-based\n0,7\n", False),
             ("prior", "# k=3 layout=prior\n0.2,0.3,0.5\n", False),
             ("labels", "# n=3 layout=labels indexing=0-based\n0,1,0\n", False),
+            ("p", "0.5,0.5\n0.5,0.5\n", True),
+            ("p", "# k=2 n=2 layout\n0.5,0.5\n0.5,0.5\n", True),
+            ("p", "", True),
         ],
         ids=["column-sum-1.1", "nan", "negative", "negative-prior", "two-row-prior",
              "zero-mass-prior", "negative-label", "label-past-int64", "eval-label-past-int64",
-             "eval-label-7-of-4", "prior-k-3-of-2", "3-labels-2-columns"],
+             "eval-label-7-of-4", "prior-k-3-of-2", "3-labels-2-columns", "no-header",
+             "malformed-header-token", "empty-file"],
     )
     def test_malformed_input_is_usage_error(self, tmp_path, name, text, names_file):
         write_table(tmp_path / "p.csv", np.full((2, 2), 0.5), "class-rows")
@@ -574,14 +578,39 @@ class TestExitCodes:
             (None, "seeds", "5"),
             ("train", "queue_capacity", "2"),
             ("train", "queue_capacity", "0"),
+            ("train", "queue_capacity", "16"),
             (None, "seeds", "[]"),
+            (None, None, "[]"),
+            (None, "dataset", "[]"),
+            (None, "schema_version", "2"),
+            ("train", "epochs", "3,"),
+            ("dataset", "k_total", "1"),
+            ("dataset", "feature_dim", "0"),
+            ("dataset", "samples_per_class", "0"),
+            ("dataset", "imbalance_factor", "0.5"),
+            ("dataset", "imbalance_factor", "100"),
+            ("dataset", "label_ratio", "0"),
+            ("dataset", "cluster_separation", "0"),
+            ("dataset", "novel_ratio", "0.1"),
+            ("train", "batch_size", "0"),
+            ("train", "epochs", "-1"),
+            ("train", "prior_mode", '"oracle"'),
+            ("train", "threshold_policy", '"fixed"'),
+            ("train", "local_views", "-1"),
         ],
         ids=["string-epochs", "misspelled-field", "learning-rate-1e400", "sinkhorn-field", "seeds-not-list",
-             "queue-below-k", "queue-empty", "seeds-empty"],
+             "queue-below-k", "queue-empty", "queue-below-first-batch", "seeds-empty", "config-not-object",
+             "section-not-object", "schema-version-2", "json-syntax-error", "k-total-1", "feature-dim-0",
+             "samples-per-class-0", "imbalance-below-1", "imbalance-too-large", "label-ratio-0",
+             "separation-0", "no-novel-class", "batch-size-0", "epochs-negative", "unknown-prior-mode",
+             "unknown-threshold-policy", "local-views-negative"],
     )
     def test_gen_data_refuses_what_train_refuses(self, tmp_path, section, field, literal):
         config = json.loads((GOLDEN / "run_config.json").read_text())
-        (config[section] if section else config)[field] = "@"
+        if field is None:  # the whole config
+            config = "@"
+        else:
+            (config[section] if section else config)[field] = "@"
         (tmp_path / "cfg.json").write_text(json.dumps(config).replace('"@"', literal))
         results = [run_cli(command, "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out"))
                    for command in ("gen-data", "train")]
@@ -791,6 +820,13 @@ class TestGoldenEval:
         assert payload["mapping"] == [0, 1, 3, 2]
 
 
+def disabled_with(targets: str) -> str:
+    """A child's NPY_DISABLE_CPU_FEATURES that also turns off `targets`: setting
+    the variable replaces the list this process may already have, which would
+    turn its disabled targets back on in the child."""
+    return f"{os.environ.get('NPY_DISABLE_CPU_FEATURES', '')} {targets}".strip()
+
+
 def test_build_fingerprint_names_the_cpu_path():
     # numpy's SIMD dispatch (its exp/log kernels) and the OpenBLAS kernel move
     # `train` bytes between CPUs, so a golden failure message names both; a
@@ -803,7 +839,7 @@ def test_build_fingerprint_names_the_cpu_path():
         return
     result = subprocess.run(
         [sys.executable, "-c", "import make_goldens; print(make_goldens.numpy_dispatch())"],
-        cwd=Path(__file__).parent, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": enabled},
+        cwd=Path(__file__).parent, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled_with(enabled)},
         capture_output=True, text=True,
     )
     assert result.stdout.strip() == "baseline only", result.stderr
@@ -817,7 +853,7 @@ def test_portable_goldens_hold_on_lower_cpu_paths(tmp_path, setting):
     if setting == "openblas-prescott":
         env["OPENBLAS_CORETYPE"] = "Prescott"
     elif numpy_dispatch() != "baseline only":
-        env["NPY_DISABLE_CPU_FEATURES"] = numpy_dispatch()
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled_with(numpy_dispatch())
 
     def child_path() -> str:
         probe = "import make_goldens as m; print(m.numpy_dispatch(), '/', m.openblas_core())"

@@ -94,6 +94,27 @@ class TestGenerateDataset:
         with pytest.raises(InfeasibleSeparation):
             _place_centroids(50, 1, 1e9, Rng(0).generator(), budget=500)
 
+    def test_crowded_cube_grows_until_the_centroids_fit(self):
+        # ten unit-spaced points in one dimension jam the first cube (side 11)
+        # within its 2000 attempts; the next round's cube, 1.3 times wider, holds them
+        from owssl.harness import _place_centroids
+
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def uniform(self, *args, **kwargs):
+                self.draws += 1
+                return self.gen.uniform(*args, **kwargs)
+
+        gen = CountingGenerator(Rng(0).generator())
+        centroids = _place_centroids(10, 1, 1.0, gen)
+        assert centroids.shape == (10, 1)
+        assert 2000 < gen.draws <= 4000  # the first round failed, the second placed all ten
+        assert np.abs(centroids).max() <= 1.3 * 11 / 2
+        gaps = np.abs(centroids - centroids.T)[~np.eye(10, dtype=bool)]
+        assert gaps.min() >= 1.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(k_total=4, feature_dim=2, samples_per_class=10, novel_ratio=0.0)
@@ -235,9 +256,17 @@ class TestTrain:
             assert r.loss_total == r.loss_sup + r.loss_cls + r.loss_conf
 
     def test_queue_capacity_guard(self):
-        data = generate_dataset(SMALL)
-        with pytest.raises(ValueError):
+        data = generate_dataset(SMALL)  # 120 samples
+        with pytest.raises(ValueError, match="class count"):
             train(data, small_hyper(queue_capacity=2))
+        # the queue must hold the whole first batch, min(batch_size, N) columns,
+        # or the batch gets fewer self-labels than it has columns
+        with pytest.raises(ValueError, match=r"first batch, min\(batch_size, N\) = 32"):
+            train(data, small_hyper(queue_capacity=31))
+        with pytest.raises(ValueError, match=r"first batch, min\(batch_size, N\) = 120"):
+            train(data, small_hyper(batch_size=200, queue_capacity=119))
+        _, log = train(data, small_hyper(batch_size=200, queue_capacity=120, epochs=1))
+        assert len(log) == 1
 
     def test_threshold_policies_run(self):
         data = generate_dataset(SMALL)
