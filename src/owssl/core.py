@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -184,6 +185,14 @@ def _trusted(cls, **fields):
             value.flags.writeable = False
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def _mix64(x: int) -> int:

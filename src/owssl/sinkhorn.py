@@ -23,6 +23,7 @@ from .core import (
     OwsslError,
     ProbMatrix,
     ShapeMismatch,
+    _usable_cpus,
 )
 
 
@@ -143,24 +144,39 @@ _WORK_CELLS = 1 << 16
 _UFUNC_BUFSIZE = 256
 
 
-def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work: np.ndarray,
-         floor: bool = True) -> np.ndarray:
-    # log-sum-exp of log_kernel + shift through `work`: whole if `work` has
-    # its shape, else in blocks of as many whole rows (axis 1) or columns
-    # (axis 0) of the row-major kernel view as the flat `work` holds. numpy
-    # sums a K x c block's columns row by row, as the whole kernel's, but a
-    # K x 1 block pairwise: a one-column remainder goes with the one before.
-    if work.shape == log_kernel.shape:
+def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work, floor: bool = True,
+         pool=None) -> np.ndarray:
+    # log-sum-exp of log_kernel + shift through `work`: whole if `work` is an
+    # array (of the kernel's shape), else in blocks of whole rows (axis 1) or
+    # columns (axis 0) of the row-major kernel view, through the list `work` of
+    # flat buffers: the calling thread's, then one for each thread of `pool`.
+    # The block count is the fewest that fit a buffer, rounded up to a multiple
+    # of the threads but no more than the lines; the first `lines % blocks`
+    # blocks take one line more. Threads take blocks in any order. numpy sums a
+    # row, and a K x c block's columns row by row, whichever block holds them,
+    # but a K x 1 block pairwise: a one-column block takes the column before.
+    if isinstance(work, np.ndarray):
         return _lse_whole(log_kernel, shift, axis, work, floor)
     lines = log_kernel.shape[1 - axis]
-    step = len(work) // log_kernel.shape[axis]
+    fewest = -(-lines // (len(work[0]) // log_kernel.shape[axis]))
+    blocks = min(-(-fewest // len(work)) * len(work), lines)
+    size, wide = divmod(lines, blocks)
     out = np.empty(lines)
-    for s in range(0, lines, step):
-        e = min(s + step, lines)
-        lo = s - 1 if axis == 0 and e - s == 1 and s else s
-        block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
-        w = work[: block.size].reshape(block.shape)
-        out[s:e] = _lse_whole(block, shift, axis, w, floor)[s - lo :]
+    starts = iter(range(blocks))  # shared: next() on a range iterator is atomic
+
+    def drain(w):
+        for i in starts:
+            s = i * size + min(i, wide)
+            e = s + size + (i < wide)
+            lo = s - 1 if axis == 0 and e - s == 1 and s else s
+            block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
+            buffer = w[: block.size].reshape(block.shape)
+            out[s:e] = _lse_whole(block, shift, axis, buffer, floor)[s - lo :]
+
+    helpers = [pool.submit(drain, w) for w in work[1:]]
+    drain(work[0])
+    for helper in helpers:
+        helper.result()
     return out
 
 
@@ -191,15 +207,24 @@ def _entropic_plan(
     epsilon values cannot underflow. Zero row targets are honored exactly
     (the corresponding rows of the plan are zero). Builds the log kernel in
     `out`, a row-major view of p_block's shape, and turns it into the plan
-    there; besides `out` it holds one work buffer of _WORK_CELLS cells at
-    most (or one kernel row or two kernel columns, when the kernel is that
-    large): rows go through it in row blocks, columns in column blocks.
-    It sets this thread's ufunc buffer to _UFUNC_BUFSIZE elements and gives
-    the caller's size back however it leaves; the bytes do not depend on it.
+    there. A kernel that fits one work buffer of _WORK_CELLS cells goes
+    through one buffer of its own shape, on this thread. A larger one goes
+    through one buffer of _WORK_CELLS cells (or one kernel row or two kernel
+    columns, when the kernel is that large) per thread: one thread per
+    usable CPU, but no more than a pass has blocks, this thread among them.
+    Rows go through them in row blocks, columns in column blocks, and each
+    thread takes the next block of a pass when it is done with one. Every
+    row is summed whole within one block and every column row by row, so
+    the bytes do not depend on the thread count, the block sizes or the
+    order in which the blocks run. The helper threads end with the call.
+    It sets the ufunc buffer of each thread it runs on to _UFUNC_BUFSIZE
+    elements and gives the caller's size back however it leaves; the bytes
+    do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
     old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    pool = None
     try:
         k, n = p_block.shape
         log_kernel = np.clip(p_block, PROB_FLOOR, None, out=out)
@@ -217,10 +242,20 @@ def _entropic_plan(
         g = np.zeros(n)
         # the whole kernel, or as many of its rows as fit, at least one row and two columns
         cells = max(_WORK_CELLS // n * n, n, min(n, 2) * k)
-        work = np.empty((k, n) if cells >= k * n else cells)
+        if cells >= k * n:
+            work = np.empty((k, n))
+        else:
+            blocks = min(-(-k // (cells // n)), -(-n // (cells // k)))
+            work = [np.empty(cells) for _ in range(min(_usable_cpus(), blocks))]
+            if len(work) > 1:
+                # imported here: `import owssl.cli`, which every command pays, does not need it
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(len(work) - 1, initializer=np.setbufsize,
+                                          initargs=(_UFUNC_BUFSIZE,))
         iters = 0
         while True:
-            row_lse = _lse(log_kernel, g[None, :], 1, work, floor)
+            row_lse = _lse(log_kernel, g[None, :], 1, work, floor, pool)
             last = iters == cfg.max_iters
             checked = last or (iters > 0 and cfg.tol > 0)
             if checked:
@@ -232,13 +267,15 @@ def _entropic_plan(
             if checked and np.array_equal(f_next, f):
                 break  # f, and so g, would repeat bit for bit up to the cap
             f = f_next
-            g = -_lse(log_kernel, f[:, None], 0, work, floor)
+            g = -_lse(log_kernel, f[:, None], 0, work, floor, pool)
             iters += 1
         log_kernel += f[:, None]
         log_kernel += g[None, :]
         np.exp(log_kernel, out=log_kernel)
         return iters, row_err
     finally:
+        if pool is not None:
+            pool.shutdown()
         np.setbufsize(old_bufsize)
 
 

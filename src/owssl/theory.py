@@ -15,12 +15,11 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ClassPrior, OwsslError, Rng, ShapeMismatch
+from .core import ClassPrior, OwsslError, Rng, ShapeMismatch, _usable_cpus
 
 
 class NonPositiveExpected(OwsslError):
@@ -219,14 +218,6 @@ def ecs_ordering_condition(spec: PopulationSpec) -> bool:
 
 _CHUNK = 20_000  # Monte Carlo trials per derived random stream
 _BLOCK = 2_000  # trials a chunk draws and scores at a time
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform (macOS, Windows)
-        return os.cpu_count() or 1
 
 
 def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:

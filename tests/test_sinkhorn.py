@@ -1,3 +1,4 @@
+import concurrent.futures  # noqa: F401 - imported before any traced solve starts a pool
 import json
 import threading
 import tracemalloc
@@ -111,17 +112,27 @@ def lse_in_blocks(monkeypatch, log_kernel, shift, axis, cells):
         return whole(block, *args)
 
     monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
-    got = _lse(log_kernel, shift, axis, np.empty(cells))
+    got = _lse(log_kernel, shift, axis, [np.empty(cells)])
     want = lse_two_temporaries(log_kernel + shift, axis)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     assert all(rows * cols <= cells for rows, cols in shapes)
     return got, shapes
 
 
-def column_widths(n, cols):
-    # blocks of `cols` columns; a one-column remainder is summed beside the
-    # column before it, so it takes a block two columns wide
-    return [cols] * (n // cols) + ([n % cols] if n % cols > 1 else [2] if n % cols else [])
+def block_widths(lines, most, threads=1):
+    # the fewest blocks of at most `most` lines, their count rounded up to a
+    # multiple of `threads` (but no more than the lines), as equal as they can
+    # be: the first `lines % blocks` take one line more
+    blocks = -(-lines // most)
+    blocks = min(-(-blocks // threads) * threads, lines)
+    size, wide = divmod(lines, blocks)
+    return [size + 1] * wide + [size] * (blocks - wide)
+
+
+def column_widths(n, cols, threads=1):
+    # a one-column block is summed beside the column before it, so it takes a
+    # block two columns wide
+    return [max(width, 2) for width in block_widths(n, cols, threads)]
 
 
 class TestLogSumExp:
@@ -141,22 +152,22 @@ class TestLogSumExp:
     @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
     def test_row_blocks_match_two_temporary_formula_bitwise(self, axis, shape, rows, monkeypatch):
         # a work buffer of fewer kernel rows than the C-ordered kernel: the
-        # row pass takes that many rows a block, the last block short unless
-        # they divide K; the column pass as many whole columns as it holds
+        # row pass takes the fewest blocks of at most that many rows, as equal
+        # as they can be; the column pass blocks of whole columns alike
         k, n = shape
         rows = k - 1 if rows == "K-1" else rows
         log_kernel, shift = two_temporary_case(axis, shape, "C")
         shapes = lse_in_blocks(monkeypatch, log_kernel, shift, axis, rows * n)[1]
         if axis == 1:
-            assert shapes == [(rows, n)] * (k // rows) + [(k % rows, n)] * (k % rows > 0)
+            assert shapes == [(width, n) for width in block_widths(k, rows)]
         else:
             assert [cols for _, cols in shapes] == column_widths(n, rows * n // k)
 
     @pytest.mark.parametrize("cols", [2, 3, "N-1"])
     @pytest.mark.parametrize("shape", [(7, 301), (40, 1024)])
     def test_column_blocks_match_two_temporary_formula_bitwise(self, shape, cols, monkeypatch):
-        # a work buffer of `cols` kernel columns; every case but 1024 columns
-        # in blocks of 2 leaves a one-column remainder
+        # a work buffer of `cols` kernel columns; 301 columns in blocks of at
+        # most 2 leave one block of one column
         k, n = shape
         cols = n - 1 if cols == "N-1" else cols
         log_kernel, shift = two_temporary_case(0, shape, "C")
@@ -165,15 +176,15 @@ class TestLogSumExp:
 
     def test_one_column_remainder_is_not_summed_alone(self, monkeypatch):
         # numpy sums a K x 1 block pairwise, which moves some columns' bits at
-        # K=40: cut the kernel after such a column j, j a multiple of 3, so
-        # that in blocks of 3 columns it is the one-column remainder
+        # K=40: cut the kernel after such a column j, j even, so that in
+        # blocks of at most 2 columns it is the last block's one column
         log_kernel, shift = two_temporary_case(0, (40, 1024), "C")
         want = lse_two_temporaries(log_kernel + shift, 0)
-        j = next(j for j in range(0, 1024, 3) if want[j] != sinkhorn._lse_whole(
+        j = next(j for j in range(2, 1024, 2) if want[j] != sinkhorn._lse_whole(
             log_kernel[:, j : j + 1], shift, 0, np.empty((40, 1)), True)[0])
         kernel = np.ascontiguousarray(log_kernel[:, : j + 1])
-        shapes = lse_in_blocks(monkeypatch, kernel, shift, 0, 3 * 40)[1]
-        assert shapes == [(40, 3)] * (j // 3) + [(40, 2)]
+        shapes = lse_in_blocks(monkeypatch, kernel, shift, 0, 2 * 40)[1]
+        assert shapes == [(40, 2)] * (j // 2 + 1)
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -196,8 +207,7 @@ class TestLogSumExp:
 
     @pytest.mark.parametrize("cols", [2, 3, 39])
     def test_floor_edge_cases_in_column_blocks_bitwise(self, cols, monkeypatch):
-        # 40 = 3 * 13 + 1 = 39 + 1 columns: two of the three leave a
-        # one-column remainder
+        # 40 columns in 20 blocks of 2, 14 blocks of 3 or 2, or 2 of 20
         got, shapes = lse_in_blocks(monkeypatch, *floor_edge_case(0, "C"), 0, cols * 9)
         assert shapes == [(9, w) for w in column_widths(40, cols)]
         assert np.isneginf(got[3]) and np.isfinite(np.delete(got, 3)).all()
@@ -395,11 +405,12 @@ class TestResidualRowMarginals:
             residual_row_marginals(ClassPrior.uniform(2), np.array([8, 8]), 10)
 
 
-def sharp_epsilon_blocks(monkeypatch):
+def sharp_epsilon_blocks(monkeypatch, workers=1):
     """Solve a K=12 sharp instance whose 220 unlabeled columns reach the exp
-    floor, check its plan bitwise against the unfloored log-domain oracle and
-    return, by axis, the distinct sequences of block shapes `_lse` went
-    through in one call."""
+    floor on `workers` threads, check its plan bitwise against the unfloored
+    log-domain oracle and return, by axis, the distinct sorted sequences of
+    block shapes `_lse` went through in one call (the threads take a call's
+    blocks in any order)."""
     calls = []  # (axis, floor, block shapes) of each _lse call
     whole = sinkhorn._lse_whole
 
@@ -411,8 +422,6 @@ def sharp_epsilon_blocks(monkeypatch):
         calls[-1][2].append(block.shape)
         return whole(block, *args)
 
-    monkeypatch.setattr(sinkhorn, "_lse", recording)
-    monkeypatch.setattr(sinkhorn, "_lse_whole", recording_block)
     rng = np.random.default_rng(0)
     k, n, n_labeled, eps = 12, 300, 80, 0.02
     truth = rng.integers(0, k, size=n)
@@ -423,7 +432,11 @@ def sharp_epsilon_blocks(monkeypatch):
     p = ProbMatrix(p / p.sum(axis=0))
     prior = ClassPrior.uniform(k)
     labels = truth[:n_labeled]
-    out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+        patch.setattr(sinkhorn, "_lse", recording)
+        patch.setattr(sinkhorn, "_lse_whole", recording_block)
+        out = solve_conditional(p, prior, LabeledBlock(labels), SinkhornConfig(eps, 100, 0.0))
     assert len(calls) == 201 and all(floor for _, floor, _ in calls)
 
     residual = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
@@ -441,7 +454,7 @@ def sharp_epsilon_blocks(monkeypatch):
                            (cols - cols.max(axis=0, keepdims=True)).ravel()])
     assert np.mean((args > -745.0) & (args < _EXP_FLOOR)) > 0.03
     assert np.mean(args <= -745.0) > 0.3
-    return {axis: {tuple(shapes) for a, _, shapes in calls if a == axis} for axis in (0, 1)}
+    return {axis: {tuple(sorted(shapes)) for a, _, shapes in calls if a == axis} for axis in (0, 1)}
 
 
 class TestConditional:
@@ -509,11 +522,17 @@ class TestConditional:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_sharp_epsilon_in_row_blocks_matches_unfloored_log_domain_bitwise(self, monkeypatch, rows):
-        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows:
-        # 220 or 660 cells, 18 or 55 of its columns
+        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows
+        # (220 or 660 cells, 18 or 55 of its columns), on one and two threads:
+        # the 220 columns go in 13 blocks of 17 or 16 columns, 14 of 16 or 15
+        # on two threads, or 4 of 55
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", rows * 220)
-        columns = {1: ((12, 18),) * 12 + ((12, 4),), 3: ((12, 55),) * 4}[rows]
-        assert sharp_epsilon_blocks(monkeypatch) == {0: {columns}, 1: {((rows, 220),) * (12 // rows)}}
+        columns = {(1, 1): ((12, 16),) + ((12, 17),) * 12,
+                   (1, 2): ((12, 15),) * 4 + ((12, 16),) * 10,
+                   (3, 1): ((12, 55),) * 4, (3, 2): ((12, 55),) * 4}
+        for workers in (1, 2):
+            assert sharp_epsilon_blocks(monkeypatch, workers) == {
+                0: {columns[rows, workers]}, 1: {((rows, 220),) * (12 // rows)}}
 
     def test_one_unlabeled_column_is_never_split(self, monkeypatch):
         # numpy sums a K x 1 array pairwise, not row by row, so row blocks of
@@ -542,28 +561,30 @@ class TestConditional:
         assert cap.row_marginal_err == five.row_marginal_err == 1.0
         assert cap.q.data.tobytes() == five.q.data.tobytes()
 
-    def test_plan_is_written_into_the_assignment(self):
+    def test_plan_is_written_into_the_assignment(self, monkeypatch):
         # the solve holds the assignment q and one work buffer of at most
-        # _WORK_CELLS float64 cells, whole rows or columns of the log kernel,
-        # plus vectors of length N (potentials, peaks and sums): under a dozen.
-        # The log kernel is built in q's unlabeled columns, and ProbMatrix keeps
-        # the frozen q rather than copying it; a copy would add another
-        # q.nbytes. The K=100 case's unlabeled block is 2.4 MB, so a work array
-        # of its size fails.
-        for k, n, n_labeled in [(50, 2000, 500), (100, 4096, 1024)]:
-            rng = np.random.default_rng(4)
-            p, prior = random_instance(rng, k, n)
-            block = LabeledBlock(rng.integers(0, k, size=n_labeled))
-            tracemalloc.start()
-            try:
-                out = solve_conditional(p, prior, block, SinkhornConfig())
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            bound = out.q.data.nbytes + 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
-            assert peak <= bound, (k, n, peak, bound)
+        # _WORK_CELLS float64 cells per thread, whole rows or columns of the
+        # log kernel, plus vectors of length N (potentials, peaks and sums):
+        # under a dozen. The log kernel is built in q's unlabeled columns, and
+        # ProbMatrix keeps the frozen q rather than copying it; a copy would
+        # add another q.nbytes. The K=100 case's unlabeled block is 2.4 MB, so
+        # a work array of its size fails.
+        for workers in (1, 2):
+            monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+            for k, n, n_labeled in [(50, 2000, 500), (100, 4096, 1024)]:
+                rng = np.random.default_rng(4)
+                p, prior = random_instance(rng, k, n)
+                block = LabeledBlock(rng.integers(0, k, size=n_labeled))
+                tracemalloc.start()
+                try:
+                    out = solve_conditional(p, prior, block, SinkhornConfig())
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                bound = out.q.data.nbytes + workers * 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+                assert peak <= bound, (workers, k, n, peak, bound)
 
-    def test_plan_is_built_in_the_unlabeled_columns(self):
+    def test_plan_is_built_in_the_unlabeled_columns(self, monkeypatch):
         # the solver takes q's unlabeled columns, a strided view, and builds the
         # log kernel and then the plan there: it leaves the labeled columns as
         # they are and copies no view of q; a copy of the view would add its
@@ -574,22 +595,24 @@ class TestConditional:
         labels = rng.integers(0, k, size=n_labeled)
         targets = residual_row_marginals(prior, np.bincount(labels, minlength=k), n)
         p_block, cfg = p.data[:, n_labeled:], SinkhornConfig()
-        q = np.empty((k, n))
-        q[:, :n_labeled] = -7.0
-        tracemalloc.start()
-        try:
-            sinkhorn._entropic_plan(p_block, targets, cfg, q[:, n_labeled:])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (q[:, :n_labeled] == -7.0).all()
         plan = log_domain_plan(p_block, targets, cfg.epsilon, cfg.max_iters, cfg.tol)[0]
-        np.testing.assert_array_equal(q[:, n_labeled:].view(np.int64), plan.view(np.int64))
-        bound = 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
-        assert peak <= bound, (peak, bound)
+        for workers in (1, 2):
+            monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+            q = np.empty((k, n))
+            q[:, :n_labeled] = -7.0
+            tracemalloc.start()
+            try:
+                sinkhorn._entropic_plan(p_block, targets, cfg, q[:, n_labeled:])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (q[:, :n_labeled] == -7.0).all()
+            np.testing.assert_array_equal(q[:, n_labeled:].view(np.int64), plan.view(np.int64))
+            bound = workers * 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+            assert peak <= bound, (workers, peak, bound)
 
-    def test_broadcast_ops_take_no_ufunc_buffer(self):
-        # past q and the work buffer, a solve of the benchmark's solve-a shape
+    def test_broadcast_ops_take_no_ufunc_buffer(self, monkeypatch):
+        # past q and the work buffers, a solve of the benchmark's solve-a shape
         # traces about 75 KB: its N-length vectors and small temporaries. Under
         # numpy 2.4's default ufunc buffer of 8192 elements each broadcast add,
         # subtract and maximum over a kernel block also allocated a buffer of
@@ -597,14 +620,16 @@ class TestConditional:
         rng = np.random.default_rng(4)
         p, prior = random_instance(rng, 100, 4096)
         block = LabeledBlock(rng.integers(0, 100, size=1024))
-        tracemalloc.start()
-        try:
-            out = solve_conditional(p, prior, block, SinkhornConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra = peak - out.q.data.nbytes - 8 * sinkhorn._WORK_CELLS
-        assert extra <= 96 * 1024, extra
+        for workers in (1, 2):
+            monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                out = solve_conditional(p, prior, block, SinkhornConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = peak - out.q.data.nbytes - workers * 8 * sinkhorn._WORK_CELLS
+            assert extra <= 96 * 1024, (workers, extra)
 
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)
@@ -661,13 +686,27 @@ class TestDigestTable:
         assert floors and all(floors)
 
     def test_wide_row_keeps_its_digest_in_small_blocks(self, monkeypatch):
-        # 1125 cells: 3 of the 375 unlabeled columns' rows or 11 of the 100
-        # rows' columns, so each pass runs in 34 blocks, and both leave a
-        # one-line remainder (100 = 3 * 33 + 1, 375 = 11 * 34 + 1)
+        # 1125 cells on one thread: 3 of the 375 unlabeled columns' rows or 11
+        # of the 100 rows' columns, so the row pass runs in 34 blocks of 3 or
+        # 2 rows and the column pass in 35 of 11 or 10 columns
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 1125)
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 1)
         name = "K=100,profile=sharp,conditional=True"
         golden = json.loads((GOLDEN / "solve_variants.json").read_text())[name]
         assert solve_variant_digest(*solve_variants()[name]) == golden
+
+    @pytest.mark.parametrize("workers, cells", [(1, 1 << 16), (2, 1 << 16), (3, 1 << 16), (3, 1125)])
+    def test_wide_rows_keep_their_digests_on_any_number_of_threads(self, workers, cells, monkeypatch):
+        # the threads take a pass's blocks in any order, and the block count
+        # is a multiple of theirs: at 1125 cells on three threads the passes
+        # run in 36 blocks each
+        monkeypatch.setattr(sinkhorn, "_WORK_CELLS", cells)
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+        golden = json.loads((GOLDEN / "solve_variants.json").read_text())
+        variants = {name: v for name, v in solve_variants().items() if name.startswith("K=100")}
+        assert len(variants) == 3
+        moved = [name for name, v in variants.items() if solve_variant_digest(*v) != golden[name]]
+        assert not moved, moved
 
     @pytest.mark.parametrize("bufsize", [16, 8192])
     def test_wide_rows_keep_their_digests_at_any_ufunc_buffer_size(self, bufsize, monkeypatch):
@@ -737,3 +776,84 @@ class TestUfuncBufferScope:
             solver.join()
         assert seen == [sinkhorn._UFUNC_BUFSIZE] and len(results) == 1
         assert here == before != sinkhorn._UFUNC_BUFSIZE
+
+
+def training_profile_solve():
+    # the shape `train` solves: K=20, a queue of 1024 columns, 256 labeled
+    rng = np.random.default_rng(6)
+    p, prior = random_instance(rng, 20, 1024)
+    return p, prior, LabeledBlock(rng.integers(0, 20, size=256)), SinkhornConfig(epsilon=0.5)
+
+
+def blocked_solve():
+    # solve-a's shape: a 100 x 3072 kernel, over four work buffers
+    rng = np.random.default_rng(4)
+    p, prior = random_instance(rng, 100, 4096)
+    return p, prior, LabeledBlock(rng.integers(0, 100, size=1024)), SinkhornConfig()
+
+
+class HelperFailure(Exception):
+    pass
+
+
+class TestThreads:
+    # a kernel larger than one work buffer goes through the buffers of a pool
+    # of threads, the caller among them, which the solve starts and ends
+
+    def test_every_thread_runs_its_blocks_under_the_solver_ufunc_buffer(self, monkeypatch):
+        # each thread waits on its first block until all three have one, so
+        # that every pool thread runs some
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 3)
+        first = threading.Barrier(3, timeout=10)
+        sizes = {}  # thread id -> the ufunc buffer sizes it ran blocks under
+        whole = sinkhorn._lse_whole
+
+        def recording(*args):
+            seen = sizes.setdefault(threading.get_ident(), set())
+            if not seen:
+                first.wait()
+            seen.add(np.getbufsize())
+            return whole(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
+        before = np.getbufsize()
+        solve_conditional(*blocked_solve())
+        assert len(sizes) == 3 and all(seen == {sinkhorn._UFUNC_BUFSIZE} for seen in sizes.values())
+        assert np.getbufsize() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # a pool thread's first block raises; the caller's first block waits
+        # until it has, so that the pool thread surely takes one
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 2)
+        caller, raised = threading.get_ident(), threading.Event()
+        whole = sinkhorn._lse_whole
+
+        def failing(*args):
+            if threading.get_ident() == caller:
+                assert raised.wait(10)
+                return whole(*args)
+            raised.set()
+            raise HelperFailure("helper block failed")
+
+        monkeypatch.setattr(sinkhorn, "_lse_whole", failing)
+        bufsize, threads = np.getbufsize(), threading.active_count()
+        with pytest.raises(HelperFailure, match="^helper block failed$"):
+            solve_conditional(*blocked_solve())
+        assert np.getbufsize() == bufsize
+        assert threading.active_count() == threads
+
+    def test_training_profile_solve_starts_no_thread(self, monkeypatch):
+        # its 20 x 768 kernel fits one work buffer, so it runs on the caller
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 2)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        solve_conditional(*training_profile_solve())
+        assert started == []
+        solve_conditional(*blocked_solve())  # a larger kernel starts one pool thread
+        assert len(started) == 1

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from owssl import theory
+from owssl import core, theory
 from owssl.core import ClassPrior, Rng, ShapeMismatch
 from owssl.theory import (
     CountMismatch,
@@ -349,11 +349,11 @@ class TestMonteCarloPool:
         assert peak < 3_000_000, peak
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(theory.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert theory._usable_cpus() == 3
-        monkeypatch.delattr(theory.os, "sched_getaffinity")
-        monkeypatch.setattr(theory.os, "cpu_count", lambda: None)
-        assert theory._usable_cpus() == 1
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert core._usable_cpus() == 3
+        monkeypatch.delattr(core.os, "sched_getaffinity")
+        monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+        assert core._usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_thread_outlives_a_call(self, monkeypatch, workers):
