@@ -786,7 +786,7 @@ def training_profile_solve():
 
 
 def blocked_solve():
-    # solve-a's shape: a 100 x 3072 kernel, over four work buffers
+    # solve-a's shape: a 100 x 3072 kernel, more than four work buffers
     rng = np.random.default_rng(4)
     p, prior = random_instance(rng, 100, 4096)
     return p, prior, LabeledBlock(rng.integers(0, 100, size=1024)), SinkhornConfig()
@@ -843,8 +843,10 @@ class TestThreads:
         assert threading.active_count() == threads
 
     def test_training_profile_solve_starts_no_thread(self, monkeypatch):
-        # its 20 x 768 kernel fits one work buffer, so it runs on the caller
-        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 2)
+        # its 20 x 768 kernel fits one work buffer, so it runs on the caller;
+        # solve-a's shape on 64 usable CPUs starts a thread for each of its
+        # row pass's 5 blocks but the caller's (20 of the 100 rows a buffer)
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 64)
         started = []
         start = threading.Thread.start
 
@@ -855,5 +857,5 @@ class TestThreads:
         monkeypatch.setattr(threading.Thread, "start", recording)
         solve_conditional(*training_profile_solve())
         assert started == []
-        solve_conditional(*blocked_solve())  # a larger kernel starts one pool thread
-        assert len(started) == 1
+        solve_conditional(*blocked_solve())
+        assert len(started) == 4
