@@ -10,6 +10,7 @@ and solves the reduced problem on the remaining columns.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -134,9 +135,15 @@ def residual_row_marginals(prior: ClassPrior, labeled_counts, n_total: int) -> n
 # vanish when added to it: the sums keep their bytes.
 _EXP_FLOOR = -700.0
 
-# the solver's work buffer: at most this many float64 cells (512 KiB), unless
-# one kernel row or two kernel columns are more
+# a kernel of at most this many float64 cells (512 KiB) goes through one
+# buffer of its own shape on the calling thread; a larger one gets a thread
+# for each block of at most this many cells that its passes would need, up to
+# the usable CPUs
 _WORK_CELLS = 1 << 16
+
+# a larger kernel's blocks hold at most this many cells (1 MiB), unless one
+# kernel row or two kernel columns are more
+_BLOCK_CELLS = 1 << 17
 
 # numpy's ufunc buffer size, in elements, while the solver runs: numpy 2.4
 # stages a broadcast add, subtract or maximum whose lines are shorter than
@@ -144,22 +151,82 @@ _WORK_CELLS = 1 << 16
 _UFUNC_BUFSIZE = 256
 
 
+def _block_count(lines: int, line_cells: int, least: int, cells: int, threads: int = 1) -> int:
+    # the fewest blocks of `lines` lines of `line_cells` cells each that hold at
+    # most `cells` cells, but at least `least` lines, their count rounded up to
+    # a multiple of `threads` but no more than the lines
+    fewest = -(-lines // max(cells // line_cells, least))
+    return min(-(-fewest // threads) * threads, lines)
+
+
+class _Helpers:
+    # threads that each run the tasks handed to them, beside the caller, under
+    # the solver's ufunc buffer size and the caller's numpy error state; they
+    # live until `close`
+
+    def __init__(self, count: int):
+        # imported here: `import owssl.cli`, which every command pays, does not need it
+        from queue import SimpleQueue
+
+        err = np.geterr()
+        self._done = SimpleQueue()
+        self._inboxes = [SimpleQueue() for _ in range(count)]
+        self._threads = []
+        try:
+            for inbox in self._inboxes:
+                thread = threading.Thread(target=self._serve, args=(inbox, err))
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, inbox, err) -> None:
+        np.setbufsize(_UFUNC_BUFSIZE)
+        np.seterr(**err)
+        for task, work in iter(inbox.get, None):
+            try:
+                task(work)
+            except BaseException as error:  # raised again on the caller
+                self._done.put(error)
+            else:
+                self._done.put(None)
+
+    def run(self, task, work) -> None:
+        # task(w) for each buffer w of `work`: the first on this thread, the
+        # others on one helper each; returns when all have, raising the first
+        # helper's error
+        for inbox, w in zip(self._inboxes, work[1:]):
+            inbox.put((task, w))
+        task(work[0])
+        for error in [self._done.get() for _ in self._inboxes]:
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work, floor: bool = True,
-         pool=None) -> np.ndarray:
+         helpers: _Helpers | None = None) -> np.ndarray:
     # log-sum-exp of log_kernel + shift through `work`: whole if `work` is an
     # array (of the kernel's shape), else in blocks of whole rows (axis 1) or
     # columns (axis 0) of the row-major kernel view, through the list `work` of
-    # flat buffers: the calling thread's, then one for each thread of `pool`.
-    # The block count is the fewest that fit a buffer, rounded up to a multiple
-    # of the threads but no more than the lines; the first `lines % blocks`
-    # blocks take one line more. Threads take blocks in any order. numpy sums a
-    # row, and a K x c block's columns row by row, whichever block holds them,
-    # but a K x 1 block pairwise: a one-column block takes the column before.
+    # flat buffers, each as large as the largest block: the calling thread's,
+    # then one for each of `helpers`' threads. The block count is the fewest
+    # of at most _BLOCK_CELLS cells (one row or two columns at least), rounded
+    # up to a multiple of the threads but no more than the lines; the first
+    # `lines % blocks` blocks take one line more. Threads take blocks in any
+    # order. numpy sums a row, and a K x c block's columns row by row, whichever
+    # block holds them, but a K x 1 block pairwise: a one-column block takes the
+    # column before.
     if isinstance(work, np.ndarray):
         return _lse_whole(log_kernel, shift, axis, work, floor)
     lines = log_kernel.shape[1 - axis]
-    fewest = -(-lines // (len(work[0]) // log_kernel.shape[axis]))
-    blocks = min(-(-fewest // len(work)) * len(work), lines)
+    blocks = _block_count(lines, log_kernel.shape[axis], 2 - axis, _BLOCK_CELLS, len(work))
     size, wide = divmod(lines, blocks)
     out = np.empty(lines)
     starts = iter(range(blocks))  # shared: next() on a range iterator is atomic
@@ -173,10 +240,10 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work, floor: bool
             buffer = w[: block.size].reshape(block.shape)
             out[s:e] = _lse_whole(block, shift, axis, buffer, floor)[s - lo :]
 
-    helpers = [pool.submit(drain, w) for w in work[1:]]
-    drain(work[0])
-    for helper in helpers:
-        helper.result()
+    if helpers is None:
+        drain(work[0])
+    else:
+        helpers.run(drain, work)
     return out
 
 
@@ -207,24 +274,26 @@ def _entropic_plan(
     epsilon values cannot underflow. Zero row targets are honored exactly
     (the corresponding rows of the plan are zero). Builds the log kernel in
     `out`, a row-major view of p_block's shape, and turns it into the plan
-    there. A kernel that fits one work buffer of _WORK_CELLS cells goes
-    through one buffer of its own shape, on this thread. A larger one goes
-    through one buffer of _WORK_CELLS cells (or one kernel row or two kernel
-    columns, when the kernel is that large) per thread: one thread per
-    usable CPU, but no more than a pass has blocks, this thread among them.
-    Rows go through them in row blocks, columns in column blocks, and each
-    thread takes the next block of a pass when it is done with one. Every
-    row is summed whole within one block and every column row by row, so
-    the bytes do not depend on the thread count, the block sizes or the
-    order in which the blocks run. The helper threads end with the call.
-    It sets the ufunc buffer of each thread it runs on to _UFUNC_BUFSIZE
-    elements and gives the caller's size back however it leaves; the bytes
-    do not depend on it.
+    there. A kernel of at most _WORK_CELLS cells goes through one buffer of
+    its own shape, on this thread. A larger one runs on one thread per usable
+    CPU, this thread among them, but no more than either pass would have
+    blocks of _WORK_CELLS cells. Rows go through row blocks and columns
+    through column blocks: each pass is cut into the fewest blocks of at most
+    _BLOCK_CELLS cells (one row or two columns at least) whose count is a
+    multiple of the threads, each thread has one buffer as large as the
+    largest block, and each takes the next block of a pass when it is done
+    with one. The helper threads start once, are handed each pass through a
+    queue, and end with the call. Every row is summed whole within one block
+    and every column row by row, so the bytes do not depend on the thread
+    count, the block sizes or the order in which the blocks run. Every
+    thread runs under the caller's numpy error state and a ufunc buffer of
+    _UFUNC_BUFSIZE elements; the caller's size comes back however the call
+    leaves, and the bytes do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
     old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-    pool = None
+    helpers = None
     try:
         k, n = p_block.shape
         log_kernel = np.clip(p_block, PROB_FLOOR, None, out=out)
@@ -240,22 +309,19 @@ def _entropic_plan(
         floor = np.ptp(log_kernel) + np.ptp(live) / 2 > -_EXP_FLOOR / 2
         f = np.zeros(k)
         g = np.zeros(n)
-        # the whole kernel, or as many of its rows as fit, at least one row and two columns
-        cells = max(_WORK_CELLS // n * n, n, min(n, 2) * k)
-        if cells >= k * n:
+        if k * n <= _WORK_CELLS:
             work = np.empty((k, n))
         else:
-            blocks = min(-(-k // (cells // n)), -(-n // (cells // k)))
-            work = [np.empty(cells) for _ in range(min(_usable_cpus(), blocks))]
-            if len(work) > 1:
-                # imported here: `import owssl.cli`, which every command pays, does not need it
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(len(work) - 1, initializer=np.setbufsize,
-                                          initargs=(_UFUNC_BUFSIZE,))
+            threads = min(_usable_cpus(), _block_count(k, n, 1, _WORK_CELLS),
+                          _block_count(n, k, 2, _WORK_CELLS))
+            rows = -(-k // _block_count(k, n, 1, _BLOCK_CELLS, threads))
+            cols = max(-(-n // _block_count(n, k, 2, _BLOCK_CELLS, threads)), min(n, 2))
+            work = [np.empty(max(rows * n, cols * k)) for _ in range(threads)]
+            if threads > 1:
+                helpers = _Helpers(threads - 1)
         iters = 0
         while True:
-            row_lse = _lse(log_kernel, g[None, :], 1, work, floor, pool)
+            row_lse = _lse(log_kernel, g[None, :], 1, work, floor, helpers)
             last = iters == cfg.max_iters
             checked = last or (iters > 0 and cfg.tol > 0)
             if checked:
@@ -267,15 +333,15 @@ def _entropic_plan(
             if checked and np.array_equal(f_next, f):
                 break  # f, and so g, would repeat bit for bit up to the cap
             f = f_next
-            g = -_lse(log_kernel, f[:, None], 0, work, floor, pool)
+            g = -_lse(log_kernel, f[:, None], 0, work, floor, helpers)
             iters += 1
         log_kernel += f[:, None]
         log_kernel += g[None, :]
         np.exp(log_kernel, out=log_kernel)
         return iters, row_err
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if helpers is not None:
+            helpers.close()
         np.setbufsize(old_bufsize)
 
 

@@ -208,6 +208,34 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_blocked_solve_leaves_thread_pool_unloaded(self, tmp_path):
+        # a 100 x 1536 kernel, more than one work buffer, on two usable CPUs:
+        # the solver starts a helper thread without concurrent.futures
+        rng = np.random.default_rng(3)
+        write_table(tmp_path / "p.csv", rng.dirichlet(np.ones(100), size=1536).T, "class-rows")
+        write_table(tmp_path / "prior.csv", ClassPrior.uniform(100).probs, "prior")
+        script = (
+            "import sys, threading\n"
+            "from owssl import sinkhorn\n"
+            "from owssl.cli import main\n"
+            "sinkhorn._usable_cpus = lambda: 2\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--input", str(tmp_path / "p.csv"),
+             "--prior", str(tmp_path / "prior.csv"), "--unconditional", "--iters", "3", "--tol", "0",
+             "--out", str(tmp_path / "q.csv"), "--report", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 False"
+        assert (tmp_path / "q.csv").is_file()
+
     def test_train_and_eval_leave_scipy_unloaded(self, tmp_path):
         # both commands run Hungarian matching, the one place that once used scipy
         script = (

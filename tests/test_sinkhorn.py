@@ -1,5 +1,6 @@
-import concurrent.futures  # noqa: F401 - imported before any traced solve starts a pool
 import json
+import queue  # noqa: F401 - imported before any traced solve starts helper threads
+import sys
 import threading
 import tracemalloc
 
@@ -102,8 +103,9 @@ def floor_edge_case(axis, order):
 
 
 def lse_in_blocks(monkeypatch, log_kernel, shift, axis, cells):
-    """`_lse` through a flat work buffer of `cells` cells, checked bitwise
-    against the oracle; returns its result and the shapes of its blocks."""
+    """`_lse` in blocks of at most `cells` cells through a flat work buffer of
+    that size, checked bitwise against the oracle; returns its result and the
+    shapes of its blocks."""
     shapes = []
     whole = sinkhorn._lse_whole
 
@@ -112,6 +114,7 @@ def lse_in_blocks(monkeypatch, log_kernel, shift, axis, cells):
         return whole(block, *args)
 
     monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
+    monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", cells)
     got = _lse(log_kernel, shift, axis, [np.empty(cells)])
     want = lse_two_temporaries(log_kernel + shift, axis)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -133,6 +136,17 @@ def column_widths(n, cols, threads=1):
     # a one-column block is summed beside the column before it, so it takes a
     # block two columns wide
     return [max(width, 2) for width in block_widths(n, cols, threads)]
+
+
+def buffer_cells(k, n, threads):
+    # each thread's work buffer for a K x N kernel: the largest row or column
+    # block, each of at most _BLOCK_CELLS cells (the cases here hold more than
+    # one row or two columns)
+    cells = sinkhorn._BLOCK_CELLS
+    largest = max(max(block_widths(k, cells // n, threads)) * n,
+                  max(column_widths(n, cells // k, threads)) * k)
+    assert largest <= cells
+    return largest
 
 
 class TestLogSumExp:
@@ -522,22 +536,25 @@ class TestConditional:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_sharp_epsilon_in_row_blocks_matches_unfloored_log_domain_bitwise(self, monkeypatch, rows):
-        # the same solve with a work buffer of 1 or 3 of the kernel's 12 rows
-        # (220 or 660 cells, 18 or 55 of its columns), on one and two threads:
-        # the 220 columns go in 13 blocks of 17 or 16 columns, 14 of 16 or 15
-        # on two threads, or 4 of 55
+        # the same solve with _WORK_CELLS at 1 or 3 of the kernel's 12 rows
+        # (220 or 660 cells) and blocks of at most twice that, as in the
+        # module (2 or 6 rows, 36 or 110 of its columns), on one and two
+        # threads: the rows go in 6 blocks of 2 or 2 of 6, the 220 columns in
+        # 7 blocks of 32 or 31 columns, 8 of 28 or 27 on two threads, or 2 of 110
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", rows * 220)
-        columns = {(1, 1): ((12, 16),) + ((12, 17),) * 12,
-                   (1, 2): ((12, 15),) * 4 + ((12, 16),) * 10,
-                   (3, 1): ((12, 55),) * 4, (3, 2): ((12, 55),) * 4}
+        monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 2 * rows * 220)
+        columns = {(1, 1): ((12, 31),) * 4 + ((12, 32),) * 3,
+                   (1, 2): ((12, 27),) * 4 + ((12, 28),) * 4,
+                   (3, 1): ((12, 110),) * 2, (3, 2): ((12, 110),) * 2}
         for workers in (1, 2):
             assert sharp_epsilon_blocks(monkeypatch, workers) == {
-                0: {columns[rows, workers]}, 1: {((rows, 220),) * (12 // rows)}}
+                0: {columns[rows, workers]}, 1: {((2 * rows, 220),) * (6 // rows)}}
 
     def test_one_unlabeled_column_is_never_split(self, monkeypatch):
         # numpy sums a K x 1 array pairwise, not row by row, so row blocks of
         # a one-column kernel would add its terms in another order
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 3)
+        monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 3)
         rng = np.random.default_rng(1)
         p, prior = random_instance(rng, 40, 41)
         labels = rng.integers(0, 40, size=40)
@@ -562,13 +579,13 @@ class TestConditional:
         assert cap.q.data.tobytes() == five.q.data.tobytes()
 
     def test_plan_is_written_into_the_assignment(self, monkeypatch):
-        # the solve holds the assignment q and one work buffer of at most
-        # _WORK_CELLS float64 cells per thread, whole rows or columns of the
-        # log kernel, plus vectors of length N (potentials, peaks and sums):
-        # under a dozen. The log kernel is built in q's unlabeled columns, and
-        # ProbMatrix keeps the frozen q rather than copying it; a copy would
-        # add another q.nbytes. The K=100 case's unlabeled block is 2.4 MB, so
-        # a work array of its size fails.
+        # the solve holds the assignment q and one work buffer per thread, as
+        # large as the largest block of whole rows or columns of the log
+        # kernel (at most _BLOCK_CELLS float64 cells), plus vectors of length N
+        # (potentials, peaks and sums): under a dozen. The log kernel is built
+        # in q's unlabeled columns, and ProbMatrix keeps the frozen q rather
+        # than copying it; a copy would add another q.nbytes. The K=100 case's
+        # unlabeled block is 2.4 MB, so a work array of its size fails.
         for workers in (1, 2):
             monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
             for k, n, n_labeled in [(50, 2000, 500), (100, 4096, 1024)]:
@@ -581,7 +598,8 @@ class TestConditional:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                bound = out.q.data.nbytes + workers * 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+                buffers = workers * 8 * buffer_cells(k, n - n_labeled, workers)
+                bound = out.q.data.nbytes + buffers + 12 * 8 * n
                 assert peak <= bound, (workers, k, n, peak, bound)
 
     def test_plan_is_built_in_the_unlabeled_columns(self, monkeypatch):
@@ -608,15 +626,19 @@ class TestConditional:
                 tracemalloc.stop()
             assert (q[:, :n_labeled] == -7.0).all()
             np.testing.assert_array_equal(q[:, n_labeled:].view(np.int64), plan.view(np.int64))
-            bound = workers * 8 * sinkhorn._WORK_CELLS + 12 * 8 * n
+            bound = workers * 8 * buffer_cells(k, n - n_labeled, workers) + 12 * 8 * n
             assert peak <= bound, (workers, peak, bound)
 
     def test_broadcast_ops_take_no_ufunc_buffer(self, monkeypatch):
         # past q and the work buffers, a solve of the benchmark's solve-a shape
-        # traces about 75 KB: its N-length vectors and small temporaries. Under
-        # numpy 2.4's default ufunc buffer of 8192 elements each broadcast add,
+        # traces its vectors over the 3072 unlabeled columns (g, a column
+        # pass's sums and their negation) and, on each thread, small
+        # temporaries of a block: about 90-110 KB, under five float vectors
+        # as wide as the widest column block (its peaks, their finite copy,
+        # the floor bound, the sums and their logs) a thread. Under numpy
+        # 2.4's default ufunc buffer of 8192 elements each broadcast add,
         # subtract and maximum over a kernel block also allocated a buffer of
-        # up to 64 KB, which took the same solve to about 125 KB.
+        # up to 64 KB, which took the same solve to about 190 KB.
         rng = np.random.default_rng(4)
         p, prior = random_instance(rng, 100, 4096)
         block = LabeledBlock(rng.integers(0, 100, size=1024))
@@ -628,8 +650,32 @@ class TestConditional:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            extra = peak - out.q.data.nbytes - workers * 8 * sinkhorn._WORK_CELLS
-            assert extra <= 96 * 1024, (workers, extra)
+            extra = peak - out.q.data.nbytes - workers * 8 * buffer_cells(100, 3072, workers)
+            widest = max(column_widths(3072, sinkhorn._BLOCK_CELLS // 100, workers))
+            bound = 3 * 8 * 3072 + workers * 5 * 8 * widest
+            assert extra <= bound, (workers, extra, bound)
+
+    def test_wide_training_profile_solve_holds_a_block_per_thread(self, monkeypatch):
+        # a 100 x 65536 training-profile kernel goes in blocks of 2 rows, or of
+        # 1286 or fewer columns, so each thread's buffer holds _BLOCK_CELLS
+        # cells; past them the solve traces its N-length vectors (g, a column
+        # pass's sums and their negation), under four
+        k, n = 100, 65536
+        rng = np.random.default_rng(6)
+        p_block = rng.dirichlet(np.full(k, 2.0), size=n).T
+        targets = residual_row_marginals(ClassPrior.uniform(k), np.zeros(k, dtype=int), n)
+        q = np.empty((k, n))
+        for workers in (1, 2):
+            monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
+            assert buffer_cells(k, n, workers) == sinkhorn._BLOCK_CELLS
+            tracemalloc.start()
+            try:
+                sinkhorn._entropic_plan(p_block, targets, SinkhornConfig(), q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = workers * 8 * sinkhorn._BLOCK_CELLS + 4 * 8 * n
+            assert peak <= bound, (workers, peak, bound)
 
     def test_large_epsilon_unlabeled_columns_approach_residual(self):
         rng = np.random.default_rng(9)
@@ -686,10 +732,11 @@ class TestDigestTable:
         assert floors and all(floors)
 
     def test_wide_row_keeps_its_digest_in_small_blocks(self, monkeypatch):
-        # 1125 cells on one thread: 3 of the 375 unlabeled columns' rows or 11
-        # of the 100 rows' columns, so the row pass runs in 34 blocks of 3 or
-        # 2 rows and the column pass in 35 of 11 or 10 columns
+        # blocks of at most 1125 cells on one thread: 3 of the 375 unlabeled
+        # columns' rows or 11 of the 100 rows' columns, so the row pass runs in
+        # 34 blocks of 3 or 2 rows and the column pass in 35 of 11 or 10 columns
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 1125)
+        monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 1125)
         monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 1)
         name = "K=100,profile=sharp,conditional=True"
         golden = json.loads((GOLDEN / "solve_variants.json").read_text())[name]
@@ -698,14 +745,34 @@ class TestDigestTable:
     @pytest.mark.parametrize("workers, cells", [(1, 1 << 16), (2, 1 << 16), (3, 1 << 16), (3, 1125)])
     def test_wide_rows_keep_their_digests_on_any_number_of_threads(self, workers, cells, monkeypatch):
         # the threads take a pass's blocks in any order, and the block count
-        # is a multiple of theirs: at 1125 cells on three threads the passes
-        # run in 36 blocks each
+        # is a multiple of theirs: with _WORK_CELLS at 1125 cells and blocks
+        # of at most twice that, as in the module, the passes run in 18 blocks
+        # each on three threads
         monkeypatch.setattr(sinkhorn, "_WORK_CELLS", cells)
+        monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 2 * cells)
         monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: workers)
         golden = json.loads((GOLDEN / "solve_variants.json").read_text())
         variants = {name: v for name, v in solve_variants().items() if name.startswith("K=100")}
         assert len(variants) == 3
         moved = [name for name, v in variants.items() if solve_variant_digest(*v) != golden[name]]
+        assert not moved, moved
+
+    def test_wide_rows_keep_their_digests_when_threads_switch_often(self, monkeypatch):
+        # four threads, more than a two-core machine has cores, share each
+        # pass's block counter and the queue that reports them done; a block
+        # lost or taken twice moves the digests. The interpreter switches
+        # threads every 10 us instead of every 5 ms
+        monkeypatch.setattr(sinkhorn, "_WORK_CELLS", 1125)
+        monkeypatch.setattr(sinkhorn, "_BLOCK_CELLS", 2250)
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 4)
+        golden = json.loads((GOLDEN / "solve_variants.json").read_text())
+        variants = {name: v for name, v in solve_variants().items() if name.startswith("K=100")}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            moved = [name for name, v in variants.items() if solve_variant_digest(*v) != golden[name]]
+        finally:
+            sys.setswitchinterval(interval)
         assert not moved, moved
 
     @pytest.mark.parametrize("bufsize", [16, 8192])
@@ -821,6 +888,59 @@ class TestThreads:
         assert len(sizes) == 3 and all(seen == {sinkhorn._UFUNC_BUFSIZE} for seen in sizes.values())
         assert np.getbufsize() == before
 
+    def test_every_thread_runs_its_blocks_under_the_caller_error_state(self, monkeypatch):
+        # numpy keeps its error state per thread; the helper threads take the
+        # caller's, as they take the solver's ufunc buffer size
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 3)
+        first = threading.Barrier(3, timeout=10)
+        states = {}  # thread id -> the error states it ran blocks under
+        whole = sinkhorn._lse_whole
+
+        def recording(*args):
+            seen = states.setdefault(threading.get_ident(), [])
+            if not seen:
+                first.wait()
+            seen.append(np.geterr())
+            return whole(*args)
+
+        monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
+        with np.errstate(under="raise"):
+            caller = np.geterr()
+            solve_conditional(*blocked_solve())
+        assert caller["under"] == "raise" != np.geterr()["under"]
+        assert len(states) == 3 and all(state == caller for seen in states.values() for state in seen)
+
+    @pytest.mark.parametrize("n, n_labeled, blocks", [(2048, 512, 2), (4096, 1024, 4)],
+                             ids=["solve-b", "solve-a"])
+    def test_benchmark_solves_take_one_or_two_blocks_a_thread(self, monkeypatch, n, n_labeled, blocks):
+        # on two threads the 100 x 1536 kernel of solve-b goes in 2 blocks a
+        # pass (50 rows or 768 columns, 76 800 cells each) and the 100 x 3072
+        # kernel of solve-a in 4 (25 rows or 768 columns): the fewest blocks
+        # of at most _BLOCK_CELLS cells, 2 or 3, rounded up to a multiple of 2
+        monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 2)
+        calls = []
+        real, whole = sinkhorn._lse, sinkhorn._lse_whole
+
+        def recording(*args):
+            calls.append((args[2], [len(w) for w in args[3]], []))
+            return real(*args)
+
+        def recording_block(block, *args):
+            calls[-1][2].append(block.shape)
+            return whole(block, *args)
+
+        monkeypatch.setattr(sinkhorn, "_lse", recording)
+        monkeypatch.setattr(sinkhorn, "_lse_whole", recording_block)
+        rng = np.random.default_rng(4)
+        p, prior = random_instance(rng, 100, n)
+        solve_conditional(p, prior, LabeledBlock(rng.integers(0, 100, size=n_labeled)), SinkhornConfig())
+        width = n - n_labeled
+        assert len(calls) == 21
+        for axis, buffers, shapes in calls:
+            assert buffers == [76_800, 76_800]
+            want = (100, width // blocks) if axis == 0 else (100 // blocks, width)
+            assert shapes == [want] * blocks
+
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         # a pool thread's first block raises; the caller's first block waits
         # until it has, so that the pool thread surely takes one
@@ -843,9 +963,12 @@ class TestThreads:
         assert threading.active_count() == threads
 
     def test_training_profile_solve_starts_no_thread(self, monkeypatch):
-        # its 20 x 768 kernel fits one work buffer, so it runs on the caller;
-        # solve-a's shape on 64 usable CPUs starts a thread for each of its
-        # row pass's 5 blocks but the caller's (20 of the 100 rows a buffer)
+        # its 20 x 768 kernel holds at most _WORK_CELLS cells, so it runs whole
+        # on the caller; solve-a's 100 x 3072 kernel on 64 usable CPUs has a
+        # thread for each block of at most _WORK_CELLS cells that its passes
+        # would take (5: of 21 rows or 655 columns), the caller among them, so
+        # it starts 4. Its passes then go in 5 blocks each, the fewest of at
+        # most _BLOCK_CELLS cells (3) rounded up to a multiple of 5.
         monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 64)
         started = []
         start = threading.Thread.start
@@ -857,5 +980,14 @@ class TestThreads:
         monkeypatch.setattr(threading.Thread, "start", recording)
         solve_conditional(*training_profile_solve())
         assert started == []
+        blocks = []
+        whole = sinkhorn._lse_whole
+
+        def recording(block, *args):
+            blocks.append(block.shape)
+            return whole(block, *args)
+
+        monkeypatch.setattr(sinkhorn, "_lse_whole", recording)
         solve_conditional(*blocked_solve())
         assert len(started) == 4
+        assert len(blocks) == 21 * 5
