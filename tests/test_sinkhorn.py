@@ -864,12 +864,12 @@ class HelperFailure(Exception):
 
 
 class TestThreads:
-    # a kernel larger than one work buffer goes through the buffers of a pool
-    # of threads, the caller among them, which the solve starts and ends
+    # a kernel larger than one work buffer goes through the buffers of a few
+    # threads, the caller among them; the solve starts the others and ends them
 
     def test_every_thread_runs_its_blocks_under_the_solver_ufunc_buffer(self, monkeypatch):
         # each thread waits on its first block until all three have one, so
-        # that every pool thread runs some
+        # that every helper thread runs some
         monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 3)
         first = threading.Barrier(3, timeout=10)
         sizes = {}  # thread id -> the ufunc buffer sizes it ran blocks under
@@ -942,8 +942,8 @@ class TestThreads:
             assert shapes == [want] * blocks
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # a pool thread's first block raises; the caller's first block waits
-        # until it has, so that the pool thread surely takes one
+        # a helper thread's first block raises; the caller's first block waits
+        # until it has, so that the helper thread surely takes one
         monkeypatch.setattr(sinkhorn, "_usable_cpus", lambda: 2)
         caller, raised = threading.get_ident(), threading.Event()
         whole = sinkhorn._lse_whole
