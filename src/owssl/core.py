@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -193,6 +194,73 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform (macOS, Windows)
         return os.cpu_count() or 1
+
+
+class _Helpers:
+    # `count` threads that run tasks beside the caller, each under the numpy
+    # error state and ufunc buffer size the caller has when it builds them
+    # (both are per thread); they live until `close`. With none, nothing starts
+    # and nothing is imported.
+
+    def __init__(self, count: int):
+        self._inboxes, self._threads = [], []
+        if count < 1:
+            return
+        # imported here: `import owssl.cli`, which every command pays, does not need it
+        from queue import SimpleQueue
+
+        state = np.geterr(), np.getbufsize()
+        self._done = SimpleQueue()
+        self._inboxes = [SimpleQueue() for _ in range(count)]
+        try:
+            for inbox in self._inboxes:
+                thread = threading.Thread(target=self._serve, args=(inbox, *state))
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, inbox, err, bufsize) -> None:
+        np.seterr(**err)
+        np.setbufsize(bufsize)
+        for drain, w in iter(inbox.get, None):
+            try:
+                drain(w)
+            except BaseException as error:  # raised again on the caller
+                self._done.put(error)
+            else:
+                self._done.put(None)
+
+    def run(self, count: int, task, work) -> None:
+        # task(i, work[j]) for each i in range(count), taken once by one thread
+        # j: the caller is thread 0, the helpers 1 on. Threads take the next i
+        # when done with one; after an error they take no more. Returns when
+        # all are done, raising the caller's error or else the first helper's.
+        indices = iter(range(count))  # shared: next() on a range iterator is atomic
+
+        def drain(w):
+            try:
+                for i in indices:
+                    task(i, w)
+            except BaseException:
+                for _ in indices:
+                    pass
+                raise
+
+        handed = list(zip(self._inboxes, work[1:]))
+        for inbox, w in handed:
+            inbox.put((drain, w))
+        drain(work[0])
+        for error in [self._done.get() for _ in handed]:
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
 
 
 def _mix64(x: int) -> int:

@@ -10,7 +10,6 @@ and solves the reduced problem on the remaining columns.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .core import (
     OwsslError,
     ProbMatrix,
     ShapeMismatch,
+    _Helpers,
     _usable_cpus,
 )
 
@@ -159,59 +159,8 @@ def _block_count(lines: int, line_cells: int, least: int, cells: int, threads: i
     return min(-(-fewest // threads) * threads, lines)
 
 
-class _Helpers:
-    # threads that each run the tasks handed to them, beside the caller, under
-    # the solver's ufunc buffer size and the caller's numpy error state; they
-    # live until `close`
-
-    def __init__(self, count: int):
-        # imported here: `import owssl.cli`, which every command pays, does not need it
-        from queue import SimpleQueue
-
-        err = np.geterr()
-        self._done = SimpleQueue()
-        self._inboxes = [SimpleQueue() for _ in range(count)]
-        self._threads = []
-        try:
-            for inbox in self._inboxes:
-                thread = threading.Thread(target=self._serve, args=(inbox, err))
-                thread.start()
-                self._threads.append(thread)
-        except BaseException:
-            self.close()
-            raise
-
-    def _serve(self, inbox, err) -> None:
-        np.setbufsize(_UFUNC_BUFSIZE)
-        np.seterr(**err)
-        for task, work in iter(inbox.get, None):
-            try:
-                task(work)
-            except BaseException as error:  # raised again on the caller
-                self._done.put(error)
-            else:
-                self._done.put(None)
-
-    def run(self, task, work) -> None:
-        # task(w) for each buffer w of `work`: the first on this thread, the
-        # others on one helper each; returns when all have, raising the first
-        # helper's error
-        for inbox, w in zip(self._inboxes, work[1:]):
-            inbox.put((task, w))
-        task(work[0])
-        for error in [self._done.get() for _ in self._inboxes]:
-            if error is not None:
-                raise error
-
-    def close(self) -> None:
-        for inbox in self._inboxes:
-            inbox.put(None)
-        for thread in self._threads:
-            thread.join()
-
-
 def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work, floor: bool = True,
-         helpers: _Helpers | None = None) -> np.ndarray:
+         helpers: _Helpers = _Helpers(0)) -> np.ndarray:
     # log-sum-exp of log_kernel + shift through `work`: whole if `work` is an
     # array (of the kernel's shape), else in blocks of whole rows (axis 1) or
     # columns (axis 0) of the row-major kernel view, through the list `work` of
@@ -229,21 +178,16 @@ def _lse(log_kernel: np.ndarray, shift: np.ndarray, axis: int, work, floor: bool
     blocks = _block_count(lines, log_kernel.shape[axis], 2 - axis, _BLOCK_CELLS, len(work))
     size, wide = divmod(lines, blocks)
     out = np.empty(lines)
-    starts = iter(range(blocks))  # shared: next() on a range iterator is atomic
 
-    def drain(w):
-        for i in starts:
-            s = i * size + min(i, wide)
-            e = s + size + (i < wide)
-            lo = s - 1 if axis == 0 and e - s == 1 and s else s
-            block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
-            buffer = w[: block.size].reshape(block.shape)
-            out[s:e] = _lse_whole(block, shift, axis, buffer, floor)[s - lo :]
+    def lse_block(i, w):
+        s = i * size + min(i, wide)
+        e = s + size + (i < wide)
+        lo = s - 1 if axis == 0 and e - s == 1 and s else s
+        block = log_kernel[:, lo:e] if axis == 0 else log_kernel[lo:e]
+        buffer = w[: block.size].reshape(block.shape)
+        out[s:e] = _lse_whole(block, shift, axis, buffer, floor)[s - lo :]
 
-    if helpers is None:
-        drain(work[0])
-    else:
-        helpers.run(drain, work)
+    helpers.run(blocks, lse_block, work)
     return out
 
 
@@ -282,18 +226,20 @@ def _entropic_plan(
     _BLOCK_CELLS cells (one row or two columns at least) whose count is a
     multiple of the threads, each thread has one buffer as large as the
     largest block, and each takes the next block of a pass when it is done
-    with one. The helper threads start once, are handed each pass through a
-    queue, and end with the call. Every row is summed whole within one block
-    and every column row by row, so the bytes do not depend on the thread
-    count, the block sizes or the order in which the blocks run. Every
-    thread runs under the caller's numpy error state and a ufunc buffer of
-    _UFUNC_BUFSIZE elements; the caller's size comes back however the call
-    leaves, and the bytes do not depend on it.
+    with one. The helper threads are `core._Helpers`, the thread hand-out
+    the Monte Carlo uses too: they start once, take each pass's blocks by
+    index beside this thread, and end with the call. Every row is summed
+    whole within one block and every column row by row, so the bytes do not
+    depend on the thread count, the block sizes or the order in which the
+    blocks run. The solver sets a ufunc buffer of _UFUNC_BUFSIZE elements
+    before it starts the helpers, and they take it with the caller's numpy
+    error state, so every thread runs under both; the caller's size comes
+    back however the call leaves, and the bytes do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """
     old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-    helpers = None
+    helpers = _Helpers(0)
     try:
         k, n = p_block.shape
         log_kernel = np.clip(p_block, PROB_FLOOR, None, out=out)
@@ -317,8 +263,7 @@ def _entropic_plan(
             rows = -(-k // _block_count(k, n, 1, _BLOCK_CELLS, threads))
             cols = max(-(-n // _block_count(n, k, 2, _BLOCK_CELLS, threads)), min(n, 2))
             work = [np.empty(max(rows * n, cols * k)) for _ in range(threads)]
-            if threads > 1:
-                helpers = _Helpers(threads - 1)
+            helpers = _Helpers(threads - 1)
         iters = 0
         while True:
             row_lse = _lse(log_kernel, g[None, :], 1, work, floor, helpers)
@@ -340,8 +285,7 @@ def _entropic_plan(
         np.exp(log_kernel, out=log_kernel)
         return iters, row_err
     finally:
-        if helpers is not None:
-            helpers.close()
+        helpers.close()
         np.setbufsize(old_bufsize)
 
 

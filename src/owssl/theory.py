@@ -12,14 +12,13 @@ verification in `monte_carlo_ecs`.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ClassPrior, OwsslError, Rng, ShapeMismatch, _usable_cpus
+from .core import ClassPrior, OwsslError, Rng, ShapeMismatch, _Helpers, _usable_cpus
 
 
 class NonPositiveExpected(OwsslError):
@@ -227,18 +226,19 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     estimators, and scores their implied unlabeled counts against the true
     expectation Nu * pu. Trials are split into fixed chunks, each on its own
     derived random stream, so results do not depend on execution order.
-    The chunks run on a pool of threads, one per usable CPU (numpy's
-    multinomial draw, most of a chunk's time, releases the GIL), and the
-    calling thread adds their partial sums in chunk order, so the report is
-    the same bits whatever the CPU count or the scheduling.
+    The calling thread and a helper thread per further usable CPU, but no
+    more threads than chunks, take the chunks by index (numpy's multinomial
+    draw, most of a chunk's time, releases the GIL). Every helper runs under
+    the caller's numpy error state and ufunc buffer size. Each chunk writes
+    its partial sums into slots of its own, and the calling thread adds them
+    in chunk order, so the report is the same bits whatever the CPU count or
+    the scheduling; a single chunk starts no thread.
     The chi-square sums of each chunk are correctly rounded (`math.fsum`),
     so the ECS mean and its standard error do not depend on the order in
     which a numpy build reduces an array either.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    # imported here: `import owssl.cli`, which every command pays, does not need it
-    from concurrent.futures import ThreadPoolExecutor
 
     closed_uncon = ecs_uncon_closed(spec)
     closed_con = ecs_con_closed(spec)
@@ -246,14 +246,18 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     pu = spec.prior_unlabeled.probs
     live = pu > 0
     expected_u = spec.n_unlabeled * pu[live]
+    chunks = -(-trials // _CHUNK)
+    chi_sums = np.empty((chunks, 2))  # each chunk's chi and chi^2 sums
+    mu_sums = np.empty((chunks, 2, spec.k))  # and its mu and mu^2 sums
 
-    def _chunk(i: int, m: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """Partial sums of chunk i (m trials): chi, chi^2, mu and mu^2.
+    def _chunk(i: int, _) -> None:
+        """Partial sums of chunk i into its slots: chi, chi^2, mu and mu^2.
 
         The trials are drawn and scored _BLOCK at a time from the chunk's
         one generator (consecutive multinomial draws give the rows of one
-        draw), so a worker holds a few small blocks, not the whole chunk.
+        draw), so a thread holds a few small blocks, not the whole chunk.
         """
+        m = min(_CHUNK, trials - i * _CHUNK)
         gen = rng.derive(i).generator()
         chi = np.empty(m)
         for start in range(0, m, _BLOCK):
@@ -272,33 +276,18 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
             mu_sq_sum = mu_sq.sum(axis=0)
         # not chi.sum(): numpy groups the terms of a contiguous sum by build
         # and CPU, which can move the last digit of the mean
-        return math.fsum(chi.tolist()), math.fsum(np.square(chi).tolist()), mu_sum, mu_sq_sum
+        chi_sums[i] = math.fsum(chi.tolist()), math.fsum(np.square(chi).tolist())
+        mu_sums[i] = mu_sum, mu_sq_sum
 
-    chi_sum = 0.0
-    chi_sq_sum = 0.0
-    mu_sum = np.zeros(spec.k)
-    mu_sq_sum = np.zeros(spec.k)
-
-    starts = range(0, trials, _CHUNK)
-    workers = min(_usable_cpus(), len(starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-
-        def in_order():
-            # pool.map would queue a future (about 2 KB) for every chunk at
-            # once; this window keeps two per worker in flight
-            window = collections.deque()
-            for i, start in enumerate(starts):
-                window.append(pool.submit(_chunk, i, min(_CHUNK, trials - start)))
-                if len(window) > 2 * workers:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-
-        for c_sum, c_sq_sum, m_sum, m_sq_sum in in_order():
-            chi_sum += c_sum
-            chi_sq_sum += c_sq_sum
-            mu_sum += m_sum
-            mu_sq_sum += m_sq_sum
+    threads = min(_usable_cpus(), chunks)
+    helpers = _Helpers(threads - 1)
+    try:
+        helpers.run(chunks, _chunk, [None] * threads)
+    finally:
+        helpers.close()
+    # added in chunk order, whichever thread ran which chunk
+    chi_sum, chi_sq_sum = functools.reduce(np.add, chi_sums, np.zeros(2)).tolist()
+    mu_sum, mu_sq_sum = functools.reduce(np.add, mu_sums, np.zeros((2, spec.k)))
 
     def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
         mean = total / count

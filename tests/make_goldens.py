@@ -155,10 +155,12 @@ def solve_variants() -> dict[str, tuple]:
     solve whose shifted exponents reach the exp floor; a K=100, N=2560
     instance with 512 labeled columns, whose 204 800 unlabeled cells are
     more than the solver's work buffer of 65 536 float64 cells
-    (`sinkhorn._WORK_CELLS`) holds, so it runs in four row blocks, solved
+    (`sinkhorn._WORK_CELLS`) holds, so it runs in blocks, solved
     with the sharp profile and with the verification profile and its last
     class over budget; and a 3 x 6 instance at eps 0.002 that stalls short
-    of tol 1e-11, capped at 2000 iterations.
+    of tol 1e-11, capped at 2000 iterations. The block count of the
+    N=2560 rows follows the thread count (two a pass on one or two threads,
+    three on three, four on four or more); their bytes do not.
     """
     from owssl.core import ClassPrior, LabeledBlock, ProbMatrix
     from owssl.sinkhorn import SinkhornConfig

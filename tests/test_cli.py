@@ -199,14 +199,16 @@ class TestStartup:
         assert result.stdout.strip() == "False"
 
     def test_cli_import_leaves_thread_pool_unloaded(self):
-        # `theory` imports concurrent.futures when it runs; start-up does not pay for it
+        # no command imports concurrent.futures, and only a run that starts a
+        # helper thread imports queue; this guards start-up against a stray import
         result = subprocess.run(
-            [sys.executable, "-c", "import sys, owssl.cli; print('concurrent.futures' in sys.modules)"],
+            [sys.executable, "-c",
+             "import sys, owssl.cli; print('concurrent.futures' in sys.modules, 'queue' in sys.modules)"],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "False False"
 
     def test_blocked_solve_leaves_thread_pool_unloaded(self, tmp_path):
         # a 100 x 1536 kernel, more than one work buffer, on two usable CPUs:
@@ -235,6 +237,31 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "1 False"
         assert (tmp_path / "q.csv").is_file()
+
+    def test_theory_leaves_thread_pool_unloaded(self, tmp_path):
+        # a run of two Monte Carlo chunks on two usable CPUs: the caller and
+        # one helper thread take them, without concurrent.futures
+        script = (
+            "import sys, threading\n"
+            "from owssl import theory\n"
+            "from owssl.cli import main\n"
+            "theory._usable_cpus = lambda: 2\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, "theory", "--prior-labeled", "0.5,0.5",
+             "--prior-unlabeled", "0.3,0.7", "--n-labeled", "20", "--n-unlabeled", "100",
+             "--trials", "40000", "--out", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 False"
+        assert json.loads((tmp_path / "report.json").read_text())["trials"] == 40_000
 
     def test_train_and_eval_leave_scipy_unloaded(self, tmp_path):
         # both commands run Hungarian matching, the one place that once used scipy

@@ -333,20 +333,24 @@ class TestMonteCarloPool:
             sys.setswitchinterval(interval)
         assert report_bits(pooled) == report_bits(monte_carlo_ecs_serial(TEN_CLASS, 250_000, Rng(14)))
 
-    def test_chunk_holds_small_blocks(self, monkeypatch):
-        # one 20 000-trial chunk of the ten-class population on one worker:
-        # it keeps its chi vector (160 KB) and a few 2 000-trial blocks; a
-        # chunk scored whole holds several 20 000 x 10 arrays of 1.6 MB at
-        # once and passes 8 MB
-        monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
-        monte_carlo_ecs(TEN_CLASS, 1, Rng(3))  # imports the pool module outside the trace
+    @pytest.mark.parametrize("chunks", [1, 12])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_holds_small_blocks(self, monkeypatch, workers, chunks):
+        # `chunks` 20 000-trial chunks a worker of the ten-class population:
+        # each thread keeps its chunk's chi vector (160 KB) and a few
+        # 2 000-trial blocks, and each chunk leaves 176 bytes of sums behind;
+        # a chunk scored whole holds several 20 000 x 10 arrays of 1.6 MB at
+        # once and passes 8 MB, and 12 chunks a worker that each kept their
+        # chi vector would hold 1.92 MB a worker more
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
+        monte_carlo_ecs(TEN_CLASS, 1, Rng(3))  # imports what a run needs outside the trace
         tracemalloc.start()
         try:
-            monte_carlo_ecs(TEN_CLASS, theory._CHUNK, Rng(3))
+            monte_carlo_ecs(TEN_CLASS, chunks * workers * theory._CHUNK, Rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000, peak
+        assert peak < workers * 3_000_000, peak
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -362,6 +366,51 @@ class TestMonteCarloPool:
         monte_carlo_ecs(WORKED, 100_000, Rng(8))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("trials, threads", [(1000, 0), (theory._CHUNK, 0), (theory._CHUNK + 1, 1)])
+    def test_one_chunk_starts_no_thread(self, monkeypatch, trials, threads):
+        # on two usable CPUs a run of one chunk runs it on the caller; two
+        # chunks start one helper thread
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        report = monte_carlo_ecs(WORKED, trials, Rng(8))
+        assert len(started) == threads
+        assert report_bits(report) == report_bits(monte_carlo_ecs_serial(WORKED, trials, Rng(8)))
+
+    def test_every_thread_runs_its_chunks_under_the_caller_numpy_state(self, monkeypatch):
+        # numpy keeps its error state and ufunc buffer size per thread; the
+        # helper thread takes the caller's. Each thread waits on its first
+        # chunk until both have one, so that the helper surely runs some
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        first = threading.Barrier(2, timeout=10)
+        states = {}  # thread id -> the (error state, buffer size) of each chunk it scored
+        real = theory._chi_square
+
+        def recording(obs, exp):
+            seen = states.setdefault(threading.get_ident(), [])
+            if not seen:
+                first.wait()
+            seen.append((np.geterr(), np.getbufsize()))
+            return real(obs, exp)
+
+        monkeypatch.setattr(theory, "_chi_square", recording)
+        bufsize = np.setbufsize(4096)
+        try:
+            with np.errstate(under="raise"):
+                caller = np.geterr(), np.getbufsize()
+                monte_carlo_ecs(WORKED, 4 * theory._CHUNK, Rng(8))
+        finally:
+            np.setbufsize(bufsize)
+        assert caller[0]["under"] == "raise" != np.geterr()["under"]
+        assert caller[1] == 4096 != np.getbufsize()
+        assert len(states) == 2 and all(state == caller for seen in states.values() for state in seen)
+
     def test_chunks_run_no_public_check(self, monkeypatch):
         # the chunks score counts they drew themselves, through the unchecked
         # formulas; the public functions are for counts from outside
@@ -376,8 +425,9 @@ class TestMonteCarloPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_error_reaches_caller_unchanged(self, monkeypatch, workers):
-        # the third chi-square call raises; the caller sees that exception and
-        # no pool thread is left behind
+        # the third chi-square call raises; the caller sees that exception, no
+        # helper thread is left behind and no chunk starts after it: each
+        # thread ends with the chunk it holds (ten 2 000-trial blocks)
         monkeypatch.setattr(theory, "_usable_cpus", lambda: workers)
         real = theory._chi_square
         calls = itertools.count()  # next() is atomic, so two workers never share a number
@@ -392,3 +442,4 @@ class TestMonteCarloPool:
         with pytest.raises(ChunkFailure, match="^chunk failed$"):
             monte_carlo_ecs(WORKED, 200_000, Rng(9))
         assert threading.active_count() == before
+        assert next(calls) <= 10 * workers
