@@ -198,9 +198,8 @@ def _usable_cpus() -> int:
 
 class _Helpers:
     # `count` threads that run tasks beside the caller, each under the numpy
-    # error state and ufunc buffer size the caller has when it builds them
-    # (both are per thread); they live until `close`. With none, nothing starts
-    # and nothing is imported.
+    # error state and ufunc buffer size (both per thread) the caller has when
+    # it builds them, until `close`; with none, nothing starts or is imported
 
     def __init__(self, count: int):
         self._inboxes, self._threads = [], []

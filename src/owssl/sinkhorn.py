@@ -226,15 +226,14 @@ def _entropic_plan(
     _BLOCK_CELLS cells (one row or two columns at least) whose count is a
     multiple of the threads, each thread has one buffer as large as the
     largest block, and each takes the next block of a pass when it is done
-    with one. The helper threads are `core._Helpers`, the thread hand-out
-    the Monte Carlo uses too: they start once, take each pass's blocks by
-    index beside this thread, and end with the call. Every row is summed
-    whole within one block and every column row by row, so the bytes do not
-    depend on the thread count, the block sizes or the order in which the
-    blocks run. The solver sets a ufunc buffer of _UFUNC_BUFSIZE elements
-    before it starts the helpers, and they take it with the caller's numpy
-    error state, so every thread runs under both; the caller's size comes
-    back however the call leaves, and the bytes do not depend on it.
+    with one. The helper threads (`core._Helpers`, as in the Monte Carlo)
+    start once, take each pass's blocks by index, and end with the call.
+    Every row is summed whole within one block and every column row by
+    row, so the bytes do not depend on the thread count, the block sizes or
+    the order in which the blocks run. Every thread runs under the caller's
+    numpy error state and a ufunc buffer of _UFUNC_BUFSIZE elements, set
+    before the helpers start; the caller's size comes back however the
+    call leaves, and the bytes do not depend on it.
     Returns the number of row+column update pairs performed and the final L1
     row error (columns are exact by construction after every column update).
     """

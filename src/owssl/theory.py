@@ -226,13 +226,11 @@ def monte_carlo_ecs(spec: PopulationSpec, trials: int, rng: Rng) -> EcsReport:
     estimators, and scores their implied unlabeled counts against the true
     expectation Nu * pu. Trials are split into fixed chunks, each on its own
     derived random stream, so results do not depend on execution order.
-    The calling thread and a helper thread per further usable CPU, but no
-    more threads than chunks, take the chunks by index (numpy's multinomial
-    draw, most of a chunk's time, releases the GIL). Every helper runs under
-    the caller's numpy error state and ufunc buffer size. Each chunk writes
-    its partial sums into slots of its own, and the calling thread adds them
-    in chunk order, so the report is the same bits whatever the CPU count or
-    the scheduling; a single chunk starts no thread.
+    The calling thread and a helper thread per further usable CPU (at most
+    one thread a chunk; numpy's multinomial draw releases the GIL) take the
+    chunks by index, under the caller's numpy error state and ufunc buffer
+    size. The calling thread adds the chunks' sums in chunk order, so the
+    report is the same bits whatever the CPU count or the scheduling.
     The chi-square sums of each chunk are correctly rounded (`math.fsum`),
     so the ECS mean and its standard error do not depend on the order in
     which a numpy build reduces an array either.
